@@ -15,7 +15,7 @@ from typing import Optional
 from .automata import Alphabet, Word
 from .protocols import ProtocolAlphabet, ProtocolOracle
 from .transducers import Fst
-from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
+from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search
 
 # reserved input tokens for the left and right endmarkers
 LM = "lm"
@@ -150,19 +150,13 @@ def simulate(m: AdsAutomaton, word: Word, oracle: ProtocolOracle,
         ostates.setdefault(k, state)
         return k
 
-    start = (m.initial, 0, (), okey(oracle.initial_state()))
-    best = {start: 0}
-    queue = deque([(start, 0)])
-    pruned = False
-    while queue:
-        cfg, blocks = queue.popleft()
-        if blocks > best.get(cfg, blocks):
-            continue
+    def is_goal(cfg):
         state, pos, tape, ok = cfg
-        if (state in m.accepting and pos == len(full) and tape == ()
-                and oracle.accepting(ostates[ok])):
-            return Verdict.ACCEPT
-        succ = []
+        return (state in m.accepting and pos == len(full) and tape == ()
+                and oracle.accepting(ostates[ok]))
+
+    def successors(cfg, blocks):
+        state, pos, tape, ok = cfg
         for _, inp, write, dst in m.write_moves_from(state):
             if inp is None:
                 npos = pos
@@ -171,29 +165,20 @@ def simulate(m: AdsAutomaton, word: Word, oracle: ProtocolOracle,
             else:
                 continue
             if len(tape) + len(write) > bounds.max_tape:
-                pruned = True
+                yield PRUNED
                 continue
-            succ.append(((dst, npos, tape + write, ok), blocks))
+            yield (dst, npos, tape + write, ok), blocks, None
         for _, q, r, dst in m.query_moves_from(state):
             answer = oracle.respond(ostates[ok], tape, q)
             if answer is None or answer[0] != r:
                 continue
             if blocks + 1 > bounds.max_blocks:
-                pruned = True
+                yield PRUNED
                 continue
-            succ.append(((dst, pos, (), okey(answer[1])), blocks + 1))
-        for ncfg, nblocks in succ:
-            if ncfg in best:
-                if nblocks < best[ncfg]:
-                    best[ncfg] = nblocks
-                    queue.append((ncfg, nblocks))
-                continue
-            if len(best) >= bounds.max_configs:
-                pruned = True
-                break
-            best[ncfg] = nblocks
-            queue.append((ncfg, nblocks))
-    return Verdict.UNKNOWN if pruned else Verdict.REJECT
+            yield (dst, pos, (), okey(answer[1])), blocks + 1, None
+
+    start = (m.initial, 0, (), okey(oracle.initial_state()))
+    return bounded_search(start, successors, is_goal, bounds.max_configs)[0]
 
 
 def m_prot(pa: ProtocolAlphabet, oracle: Optional[ProtocolOracle] = None) -> AdsAutomaton:

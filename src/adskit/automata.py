@@ -153,20 +153,25 @@ class Nfa:
 
     # -- structural operations ----------------------------------------
 
+    def reachable(self, state: str) -> set:
+        """States reachable from state along transitions of any label."""
+        seen = {state}
+        queue = deque(seen)
+        while queue:
+            s = queue.popleft()
+            for _, dst in self._out.get(s, ()):
+                if dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+        return seen
+
     def trim(self) -> "Nfa":
         """Restrict to states both reachable and co-reachable.
 
         If nothing useful survives, the canonical one-state empty
         automaton is returned so all empty results compare equal.
         """
-        forward = {self.initial}
-        queue = deque(forward)
-        while queue:
-            s = queue.popleft()
-            for _, dst in self._out.get(s, ()):
-                if dst not in forward:
-                    forward.add(dst)
-                    queue.append(dst)
+        forward = self.reachable(self.initial)
         into = {}
         for src, _, dst in self.transitions:
             into.setdefault(dst, set()).add(src)
@@ -190,16 +195,7 @@ class Nfa:
         )
 
     def is_empty(self) -> bool:
-        reach = self.eps_closure([self.initial])
-        queue = deque(reach)
-        reach = set(reach)
-        while queue:
-            s = queue.popleft()
-            for _, dst in self._out.get(s, ()):
-                if dst not in reach:
-                    reach.add(dst)
-                    queue.append(dst)
-        return not (reach & self.accepting)
+        return not (self.reachable(self.initial) & self.accepting)
 
     def is_finite(self) -> bool:
         """True iff the language is finite (no productive cycle)."""

@@ -32,11 +32,11 @@ from .formats import (
     load_tm,
 )
 from .protocols import (
+    DyckOracle,
+    SetOracle,
+    SingleInsertOracle,
     axiom_fuzz,
-    dyck_oracle,
     membership,
-    set_oracle,
-    single_insert_set_oracle,
 )
 from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
 
@@ -83,16 +83,16 @@ def _advice_word(text: Optional[str]) -> tuple:
 
 def _protocol_filter(arg: str):
     if arg == "dyck":
-        return dyck_oracle()
+        return DyckOracle()
     if arg == "dyck-exact":
-        return dyck_oracle(exact_d2=True)
+        return DyckOracle(exact_d2=True)
     if arg == "set":
-        return set_oracle()
+        return SetOracle()
     if arg.startswith("sis:"):
         k = arg[len("sis:"):]
         if not k.isdigit():
             raise UsageError(f"bad filter {arg!r}")
-        return single_insert_set_oracle(int(k))
+        return SingleInsertOracle(int(k))
     return None
 
 

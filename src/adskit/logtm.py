@@ -12,13 +12,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from .ads import LM, RM
 from .automata import Alphabet, Dfa, Nfa, Word
 from .errors import CapExceeded
 from .protocols import ProtocolOracle
-from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
+from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search
 
-LM = "lm"
-RM = "rm"
 BLANK = "_"
 LAMBDA = "Λ"
 MOVES = {"L": -1, "R": 1, "S": 0}
@@ -166,18 +165,14 @@ def run_with_advice(tm: LogTm, x: Word, y: Word, step_cap: int = 100_000) -> Ver
     tape = _input_tape(tm, x)
     y = tuple(y)
     blanks = (BLANK,) * tm.work_size
-    start = (tm.initial, 0, blanks, 0, 0)
-    seen = {start}
-    queue = deque([start])
-    pruned = False
-    while queue:
-        q, i, work, head, j = queue.popleft()
-        if q in tm.accepting:
-            if j >= len(y):
-                return Verdict.ACCEPT
-            continue
-        if q in tm.rejecting:
-            continue
+
+    def is_goal(cfg):
+        q, _, _, _, j = cfg
+        return q in tm.accepting and j >= len(y)
+
+    def successors(cfg, _cost):
+        # halting states carry no rules, so their configurations end here
+        q, i, work, head, j = cfg
         under = y[j] if j < len(y) else LAMBDA
         for rule in tm._rules_from.get(q, ()):
             if rule.in_sym != tape[i] or rule.work_sym != work[head]:
@@ -190,15 +185,10 @@ def run_with_advice(tm: LogTm, x: Word, y: Word, step_cap: int = 100_000) -> Ver
             ni, nh = moved
             nwork = work[:head] + (rule.work_write,) + work[head + 1:]
             nj = min(j + 1, len(y)) if rule.consume else j
-            cfg = (rule.dst, ni, nwork, nh, nj)
-            if cfg in seen:
-                continue
-            if len(seen) >= step_cap:
-                pruned = True
-                continue
-            seen.add(cfg)
-            queue.append(cfg)
-    return Verdict.UNKNOWN if pruned else Verdict.REJECT
+            yield (rule.dst, ni, nwork, nh, nj), 0, None
+
+    start = (tm.initial, 0, blanks, 0, 0)
+    return bounded_search(start, successors, is_goal, step_cap)[0]
 
 
 def surface_config_nfa(tm: LogTm, x: Word, state_cap: int = 20_000) -> Nfa:
@@ -315,22 +305,14 @@ def run_with_protocol(tm: LogTm, x: Word, o: ProtocolOracle,
     ostate0 = o.initial_state()
     start = (tm.initial, 0, blanks, 0, (), o.canonical_key(ostate0))
     ostates = {start[5]: ostate0}
-    best = {start: 0}
-    queue = deque([(start, 0)])
-    pruned = False
-    while queue:
-        cfg, blocks = queue.popleft()
-        if blocks > best.get(cfg, blocks):
-            continue
-        q, i, work, head, u, okey = cfg
-        if q in tm.accepting:
-            if not u and o.accepting(ostates[okey]):
-                return Verdict.ACCEPT
-            continue
-        if q in tm.rejecting:
-            continue
 
-        moves = []
+    def is_goal(cfg):
+        q, _, _, _, u, okey = cfg
+        return q in tm.accepting and not u and o.accepting(ostates[okey])
+
+    def successors(cfg, blocks):
+        # halting states carry no rules or queries, so their configurations end here
+        q, i, work, head, u, okey = cfg
         for rule in tm._rules_from.get(q, ()):
             if rule.in_sym != tape[i] or rule.work_sym != work[head]:
                 continue
@@ -341,11 +323,11 @@ def run_with_protocol(tm: LogTm, x: Word, o: ProtocolOracle,
             nu = u
             if rule.qwrite is not None:
                 if len(u) >= bounds.max_tape:
-                    pruned = True
+                    yield PRUNED
                     continue
                 nu = u + (rule.qwrite,)
             nwork = work[:head] + (rule.work_write,) + work[head + 1:]
-            moves.append(((rule.dst, ni, nwork, nh, nu, okey), blocks))
+            yield (rule.dst, ni, nwork, nh, nu, okey), blocks, None
         for qsym in tm._queries_from.get(q, ()):
             answer = o.respond(ostates[okey], u, qsym)
             if answer is None:
@@ -355,25 +337,14 @@ def run_with_protocol(tm: LogTm, x: Word, o: ProtocolOracle,
             if not targets:
                 continue
             if blocks + 1 > bounds.max_blocks:
-                pruned = True
+                yield PRUNED
                 continue
             nkey = o.canonical_key(nstate)
             ostates.setdefault(nkey, nstate)
             for dst in targets:
-                moves.append(((dst, i, work, head, (), nkey), blocks + 1))
+                yield (dst, i, work, head, (), nkey), blocks + 1, None
 
-        for ncfg, nblocks in moves:
-            if ncfg in best:
-                if nblocks < best[ncfg]:
-                    best[ncfg] = nblocks
-                    queue.append((ncfg, nblocks))
-                continue
-            if len(best) >= bounds.max_configs:
-                pruned = True
-                continue
-            best[ncfg] = nblocks
-            queue.append((ncfg, nblocks))
-    return Verdict.UNKNOWN if pruned else Verdict.REJECT
+    return bounded_search(start, successors, is_goal, bounds.max_configs)[0]
 
 
 # -- toy machines -----------------------------------------------------------

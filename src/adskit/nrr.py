@@ -22,7 +22,7 @@ from .protocols import (
     sigma_k,
 )
 from .transducers import Fst, id_on, image_nfa, preimage_nfa
-from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
+from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search
 
 
 class PerKFilter:
@@ -102,40 +102,25 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
     pa = o.alphabet
     wr = tuple(pa.gamma_wr) if pa.gamma_wr is not None else ()
 
-    start_states = a.eps_closure([a.initial])
     start_ostate = o.initial_state()
-    start = (start_states, (), o.canonical_key(start_ostate))
-    best = {start: 0}
+    start = (a.eps_closure([a.initial]), (), o.canonical_key(start_ostate))
     ostates = {start[2]: start_ostate}
-    parents = {start: None}
-    queue = deque([(start, 0)])
-    pruned = False
 
-    while queue:
-        node, blocks = queue.popleft()
-        if blocks > best.get(node, blocks):
-            continue
+    def is_goal(node):
+        states, pending, okey = node
+        return not pending and states & a.accepting and o.accepting(ostates[okey])
+
+    def successors(node, blocks):
         states, pending, okey = node
         ostate = ostates[okey]
-
-        if not pending and (states & a.accepting) and o.accepting(ostate):
-            witness = []
-            cur = node
-            while parents[cur] is not None:
-                cur, tokens = parents[cur]
-                witness.append(tokens)
-            witness = tuple(tok for part in reversed(witness) for tok in part)
-            return _validated(inst, witness)
-
-        moves = []
         for sym in wr:
             nxt = a.step(states, sym)
             if not nxt:
                 continue
             if len(pending) >= bounds.max_tape:
-                pruned = True
+                yield PRUNED
                 continue
-            moves.append(((nxt, pending + (sym,), okey), blocks, (sym,)))
+            yield (nxt, pending + (sym,), okey), blocks, (sym,)
         for q in pa.gamma_query:
             answer = o.respond(ostate, pending, q)
             if answer is None:
@@ -145,27 +130,16 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
             if not nxt:
                 continue
             if blocks + 1 > bounds.max_blocks:
-                pruned = True
+                yield PRUNED
                 continue
             nkey = o.canonical_key(nstate)
             ostates.setdefault(nkey, nstate)
-            moves.append(((nxt, (), nkey), blocks + 1, (q, r)))
+            yield (nxt, (), nkey), blocks + 1, (q, r)
 
-        for nnode, nblocks, tokens in moves:
-            if nnode in best:
-                if nblocks < best[nnode]:
-                    best[nnode] = nblocks
-                    parents[nnode] = (node, tokens)
-                    queue.append((nnode, nblocks))
-                continue
-            if len(best) >= bounds.max_configs:
-                pruned = True
-                continue
-            best[nnode] = nblocks
-            parents[nnode] = (node, tokens)
-            queue.append((nnode, nblocks))
-
-    return NrrAnswer(Verdict.UNKNOWN if pruned else Verdict.REJECT)
+    verdict, labels = bounded_search(start, successors, is_goal, bounds.max_configs)
+    if verdict is Verdict.ACCEPT:
+        return _validated(inst, tuple(tok for part in labels for tok in part))
+    return NrrAnswer(verdict)
 
 
 # -- complete backend for the bracket filter ------------------------------
@@ -280,10 +254,8 @@ def nreg_perk(a: Nfa, k: int, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswe
         raise ValueError("automaton alphabet must match the copy-filter alphabet")
     digits = tuple(sigma_k(k))
 
-    def freeze(rel):
-        return tuple(sorted((p, rel[p]) for p in rel))
-
-    def accepts_via(rel) -> bool:
+    def accepts_via(node) -> bool:
+        rel = dict(node)
         current = a.eps_closure([a.initial])
         for _ in range(k):
             after_v = frozenset().union(*(rel[p] for p in current)) if current else frozenset()
@@ -292,26 +264,16 @@ def nreg_perk(a: Nfa, k: int, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswe
                 return False
         return bool(current & a.accepting)
 
-    start = {p: a.eps_closure([p]) for p in a.states}
-    seen = {freeze(start)}
-    queue = deque([(start, ())])
-    pruned = False
-    while queue:
-        rel, v = queue.popleft()
-        if accepts_via(rel):
-            witness = (v + ("#",)) * k
-            return _validated(NrrInstance(a, filt), witness)
+    def successors(node, _cost):
         for sym in digits:
-            nrel = {p: a.step(rel[p], sym) for p in rel}
-            key = freeze(nrel)
-            if key in seen:
-                continue
-            if len(seen) >= bounds.max_configs:
-                pruned = True
-                continue
-            seen.add(key)
-            queue.append((nrel, v + (sym,)))
-    return NrrAnswer(Verdict.UNKNOWN if pruned else Verdict.REJECT)
+            yield tuple((p, a.step(reach, sym)) for p, reach in node), 0, sym
+
+    # a node is the relation as sorted (state, reachable set) pairs
+    start = tuple((p, a.eps_closure([p])) for p in sorted(a.states))
+    verdict, v = bounded_search(start, successors, accepts_via, bounds.max_configs)
+    if verdict is Verdict.ACCEPT:
+        return _validated(NrrInstance(a, filt), (v + ("#",)) * k)
+    return NrrAnswer(verdict)
 
 
 def decide(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswer:

@@ -192,10 +192,6 @@ class DyckOracle(ProtocolOracle):
         return not self.exact_d2 or not state
 
 
-def dyck_oracle(exact_d2: bool = False) -> DyckOracle:
-    return DyckOracle(exact_d2)
-
-
 class SetOracle(ProtocolOracle):
     """Set of words over {a,b}: insert, remove, membership test."""
 
@@ -222,10 +218,6 @@ class SetOracle(ProtocolOracle):
     def canonical_key(self, state):
         # the w: prefix keeps the stored empty word distinct from no word
         return ";".join(sorted("w:" + ",".join(w) for w in state))
-
-
-def set_oracle() -> SetOracle:
-    return SetOracle()
 
 
 def sigma_k(k: int) -> Alphabet:
@@ -264,10 +256,6 @@ class SingleInsertOracle(ProtocolOracle):
 
     def canonical_key(self, state):
         return "-" if state is None else "w:" + ",".join(state)
-
-
-def single_insert_set_oracle(k: int) -> SingleInsertOracle:
-    return SingleInsertOracle(k)
 
 
 def per_k_membership(word: Word, k: int) -> bool:

@@ -341,10 +341,6 @@ class ProtXOracle(ProtocolOracle):
         return ""
 
 
-def prot_x_oracle(x_oracle, cache: Optional[WCache] = None) -> ProtXOracle:
-    return ProtXOracle(x_oracle, cache)
-
-
 def forward_reduce(x: str) -> Word:
     """Protocol word sq(x) # + which is correct exactly when x is a member."""
     _check_binary(x)
@@ -571,10 +567,8 @@ def _delta_both(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None,
 
     in_l = set()
     in_lbar = set()
-    for s2 in sorted(a.states):
+    for s2 in sorted(a.reachable(s)):
         sub = a.sub_automaton(s, s2).trim()
-        if sub.is_empty():
-            continue
         if not sub.is_finite():
             # every infinite regular language strays into a marker pair
             in_l.add(s2)

@@ -1,13 +1,16 @@
-"""Three-valued search verdicts and bounded-search budgets.
+"""Three-valued search verdicts, bounded-search budgets and the search engine.
 
 Simulators and realizability deciders never report Reject/No unless the
 search space was exhausted without hitting a bound; any truncation turns
-a failed search into Unknown.
+a failed search into Unknown.  `bounded_search` is the one place that
+rule is applied.
 """
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 
 class Verdict(enum.Enum):
@@ -53,3 +56,52 @@ class SearchBounds:
 
 
 DEFAULT_BOUNDS = SearchBounds()
+
+
+# yielded by a successor function in place of a move that a bound cut off
+PRUNED = object()
+
+
+def bounded_search(start, successors: Callable, is_goal: Callable,
+                   max_configs: int) -> tuple[Verdict, Optional[tuple]]:
+    """Breadth-first search with cheaper-cost revisits and a node cap.
+
+    successors(node, cost) yields (next, next_cost, label) per move, or
+    PRUNED for a move a bound cut off; costs never decrease along a move.
+    A node stored earlier is queued again when reached at a lower cost,
+    so a bound charged against the cost cannot hide what a cheaper path
+    reaches.  At most max_configs nodes are stored; a move past the cap
+    is dropped and the rest of the node's moves are still tried.
+    Returns ACCEPT with the labels along the path to the first goal
+    popped, REJECT when the graph was exhausted without pruning, and
+    UNKNOWN otherwise; the labels are None unless the verdict is ACCEPT.
+    """
+    best = {start: (0, None, None)}  # node -> (cost, parent, label)
+    queue = deque([(start, 0)])
+    pruned = False
+    while queue:
+        node, cost = queue.popleft()
+        if cost > best[node][0]:
+            continue
+        if is_goal(node):
+            labels = []
+            _, parent, label = best[node]
+            while parent is not None:
+                labels.append(label)
+                _, parent, label = best[parent]
+            return Verdict.ACCEPT, tuple(reversed(labels))
+        for move in successors(node, cost):
+            if move is PRUNED:
+                pruned = True
+                continue
+            nxt, ncost, label = move
+            stored = best.get(nxt)
+            if stored is None:
+                if len(best) >= max_configs:
+                    pruned = True
+                    continue
+            elif ncost >= stored[0]:
+                continue
+            best[nxt] = (ncost, node, label)
+            queue.append((nxt, ncost))
+    return (Verdict.UNKNOWN if pruned else Verdict.REJECT), None

@@ -33,12 +33,12 @@ from adskit.nrr import (
     spk_to_perk_fst,
 )
 from adskit.protocols import (
+    DyckOracle,
+    SetOracle,
+    SingleInsertOracle,
     axiom_fuzz,
-    dyck_oracle,
     membership,
-    set_oracle,
     sigma_k,
-    single_insert_set_oracle,
 )
 from adskit.transducers import compose, image_nfa, invert
 from adskit.universality import (
@@ -48,7 +48,7 @@ from adskit.universality import (
     lex_extreme,
     delta_L,
     delta_Lbar,
-    prot_x_oracle,
+    ProtXOracle,
     universality_decide,
     w_params,
     WCache,
@@ -57,7 +57,7 @@ from adskit.verdict import Verdict
 
 from genrand import random_ads, random_dag_nfa, random_dfa, random_fst, random_nfa
 
-SET = set_oracle()
+SET = SetOracle()
 
 
 def emit(capsys, num, name, ok, detail):
@@ -147,16 +147,16 @@ def test_c02_double_inversion_preserves_the_relation(capsys):
 def test_c03_protocol_axioms_hold_and_violations_surface(capsys):
     trials = 10_000
     problems = []
-    for label, oracle in [("set", SET), ("sis:2", single_insert_set_oracle(2))]:
+    for label, oracle in [("set", SET), ("sis:2", SingleInsertOracle(2))]:
         for axiom in ("i", "ii", "iii", "iv", "v"):
             rep = axiom_fuzz(oracle, axiom, trials=trials, max_len=50)
             if rep.violations:
                 problems.append(f"{label} axiom {axiom}: {len(rep.violations)}")
     for axiom in ("i", "ii", "iii", "v"):
-        rep = axiom_fuzz(dyck_oracle(), axiom, trials=trials, max_len=50)
+        rep = axiom_fuzz(DyckOracle(), axiom, trials=trials, max_len=50)
         if rep.violations:
             problems.append(f"dyck axiom {axiom}: {len(rep.violations)}")
-    pop_report = axiom_fuzz(dyck_oracle(), "iv", trials=trials, max_len=50)
+    pop_report = axiom_fuzz(DyckOracle(), "iv", trials=trials, max_len=50)
     pop_ok = (len(pop_report.violations) > 0
               and all("no response to 'pop'" in v for v in pop_report.violations))
     if not pop_ok:
@@ -236,7 +236,7 @@ def test_c06_membership_reduction_matches_simulation(capsys):
 
 def test_c07_bracket_backend_is_complete_and_agrees(capsys):
     rng = random.Random(7)
-    dyck = dyck_oracle()
+    dyck = DyckOracle()
     alpha = dyck.alphabet.flattened()
     saturation_unknown = disagree = definite = 0
     for _ in range(500):
@@ -347,7 +347,7 @@ def _block_shape_nfa(oracle, k, max_u):
 
 
 def test_c09_copy_transductions_have_the_stated_images(capsys):
-    sis2 = single_insert_set_oracle(2)
+    sis2 = SingleInsertOracle(2)
     us2 = words_over(tuple(sigma_k(2)), 2)
     forward = spk_to_perk_fst(2)
     image = set()
@@ -358,7 +358,7 @@ def test_c09_copy_transductions_have_the_stated_images(capsys):
 
     backward_bad = []
     for k in (1, 2, 3):
-        oracle = single_insert_set_oracle(k)
+        oracle = SingleInsertOracle(k)
         us = words_over(tuple(sigma_k(k)), 2)
         t = perk_to_spk_fst(k)
         shape = _block_shape_nfa(oracle, k, 2)
@@ -463,13 +463,13 @@ def test_c10_graded_language_suite(capsys):
 
     # (d) full decision against the bounded search, plus the word map
     rng = random.Random(103)
-    flat = prot_x_oracle(OracleX(members)).alphabet.flattened()
+    flat = ProtXOracle(OracleX(members)).alphabet.flattened()
     uni_checked = 0
     for _ in range(100):
         a = random_dag_nfa(rng, alphabet=flat, max_states=4, density=2.0)
         x = OracleX(members)
         answer = universality_decide(a, x)
-        bounded = nreg_generic(NrrInstance(a, prot_x_oracle(OracleX(members))))
+        bounded = nreg_generic(NrrInstance(a, ProtXOracle(OracleX(members))))
         uni_checked += 1
         if bounded.verdict is Verdict.UNKNOWN:
             continue
@@ -478,7 +478,7 @@ def test_c10_graded_language_suite(capsys):
     for length in range(5):
         for val in range(2 ** length):
             x_word = format(val, f"0{length}b") if length else ""
-            oracle = prot_x_oracle(OracleX(["0", "11"]))
+            oracle = ProtXOracle(OracleX(["0", "11"]))
             in_x = x_word in ("0", "11")
             if membership(oracle, forward_reduce(x_word)) != in_x:
                 problems.append(f"forward map wrong on {x_word!r}")

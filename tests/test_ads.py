@@ -20,21 +20,20 @@ from adskit.ads import (
 )
 from adskit.automata import Alphabet, nfa_for_words
 from adskit.protocols import (
+    DyckOracle,
     ProtocolAlphabet,
+    SetOracle,
     SingleInsertOracle,
-    dyck_oracle,
     flatten_blocks,
     membership,
     random_member,
-    set_oracle,
-    single_insert_set_oracle,
 )
 from adskit.transducers import id_on, preimage_nfa, word_fst
 from adskit.verdict import SearchBounds, Verdict
 from genrand import AB, random_ads, random_nfa
 from oracles import brute_ads_accepts
 
-SET = set_oracle()
+SET = SetOracle()
 SET_PA = SET.alphabet
 LOOSE = SearchBounds(max_configs=100_000, max_blocks=40, max_tape=30)
 
@@ -138,21 +137,22 @@ class TestMProt:
         assert simulate(m, (), SET) is Verdict.ACCEPT
 
     def test_dyck_example(self):
-        o = dyck_oracle()
+        o = DyckOracle()
         m = m_prot(o.alphabet)
         assert simulate(m, ("push(", "(", "pop", ")"), o) is Verdict.ACCEPT
         assert simulate(m, ("pop", ")"), o) is Verdict.REJECT
 
     def test_deterministic_by_construction(self):
         assert m_prot(SET_PA).is_deterministic()
-        assert m_prot(dyck_oracle().alphabet).is_deterministic()
+        assert m_prot(DyckOracle().alphabet).is_deterministic()
 
     def test_oracle_alphabet_checked(self):
         with pytest.raises(ValueError, match="alphabet"):
-            m_prot(SET_PA, dyck_oracle())
+            m_prot(SET_PA, DyckOracle())
 
-    @pytest.mark.parametrize("make", [set_oracle, dyck_oracle,
-                                      lambda: single_insert_set_oracle(2)])
+    @pytest.mark.parametrize("make", [pytest.param(SetOracle, id="set_oracle"),
+                                      pytest.param(DyckOracle, id="dyck_oracle"),
+                                      lambda: SingleInsertOracle(2)])
     def test_agrees_with_membership(self, make):
         rng = random.Random(17)
         o = make()
@@ -373,7 +373,7 @@ class TestTwoLetterRecode:
         assert code2.decode_word(("b",)) is None
 
     def test_codec_fst(self):
-        sis = single_insert_set_oracle(2)
+        sis = SingleInsertOracle(2)
         m = random_ads(random.Random(1), sis.alphabet, AB, max_states=3)
         m2, codec = two_letter_recode(m)
         assert codec.deterministic
@@ -391,7 +391,7 @@ class TestTwoLetterRecode:
 
     def test_simulation_equivalence(self):
         rng = random.Random(47)
-        sis = single_insert_set_oracle(2)
+        sis = SingleInsertOracle(2)
         rec_bounds = SearchBounds(max_configs=200_000, max_blocks=32, max_tape=96)
         wrapped = RecodedOracle(sis)
         checked = 0
@@ -408,7 +408,7 @@ class TestTwoLetterRecode:
         assert checked > 200
 
     def test_requires_write_alphabet(self):
-        m = m_prot(dyck_oracle().alphabet)
+        m = m_prot(DyckOracle().alphabet)
         with pytest.raises(ValueError, match="write alphabet"):
             two_letter_recode(m)
 
@@ -451,7 +451,7 @@ class TestResetClosures:
         assert simulate(cat, self.P + self.P, self.o) is Verdict.REJECT
 
     def test_reset_required(self):
-        sis = single_insert_set_oracle(2)
+        sis = SingleInsertOracle(2)
         m = chain_for_protocol_input(("0", "ins", "+"), sis.alphabet)
         with pytest.raises(ValueError, match="reset"):
             concat_reset(m, m, sis)

@@ -11,7 +11,7 @@ import pytest
 from adskit.cli import main
 from adskit.formats import load_ads, load_automaton, load_fst
 from adskit.automata import Dfa
-from adskit.protocols import set_oracle
+from adskit.protocols import SetOracle
 
 
 def run(capsys, *argv):
@@ -253,10 +253,10 @@ class TestMachineEmission:
                         "--oracle", "set")
         load_fst(ext)
         _, mp, _ = run(capsys, "ads", "mprot", "--oracle", "set")
-        load_ads(mp, set_oracle().alphabet)
+        load_ads(mp, SetOracle().alphabet)
         _, rec, _ = run(capsys, "ads", "recode", files["ins.ads"],
                         "--oracle", "set")
-        load_ads(rec, set_oracle().alphabet)
+        load_ads(rec, SetOracle().alphabet)
         _, dec, _ = run(capsys, "ads", "recode", files["ins.ads"],
                         "--oracle", "set", "--emit", "decoder")
         load_fst(dec)
@@ -267,8 +267,8 @@ class TestMachineEmission:
         load_automaton(a_text)
         _, m_text, _ = run(capsys, "nrr", "reduce-to-ads", files["dyck.nfa"],
                            "--filter", "dyck")
-        from adskit.protocols import dyck_oracle
-        load_ads(m_text, dyck_oracle().alphabet)
+        from adskit.protocols import DyckOracle
+        load_ads(m_text, DyckOracle().alphabet)
         _, d_text, _ = run(capsys, "nrr", "member-to-reg", files["ins.ads"], "a",
                            "--oracle", "set")
         assert isinstance(load_automaton(d_text), Dfa)

@@ -17,7 +17,7 @@ from adskit.formats import (
     load_tm,
 )
 from adskit.logtm import LogTm, TmRule
-from adskit.protocols import dyck_oracle, set_oracle
+from adskit.protocols import DyckOracle, SetOracle
 from adskit.transducers import Fst
 
 from genrand import random_dag_nfa
@@ -173,14 +173,14 @@ qmove q0 #ins # acc
 
 class TestStorageMachines:
     def test_load_basic(self):
-        m = load_ads(ADS_TEXT, set_oracle().alphabet)
+        m = load_ads(ADS_TEXT, SetOracle().alphabet)
         assert m.write_states == frozenset({"w0", "w1", "acc"})
         assert m.query_states == frozenset({"q0"})
         assert ("w1", "b", ("b", "a"), "w1") in m.write_moves
         assert ("q0", "#ins", "#", "acc") in m.query_moves
 
     def test_round_trip_canonical(self):
-        pa = set_oracle().alphabet
+        pa = SetOracle().alphabet
         m = load_ads(ADS_TEXT, pa)
         text = dump_ads(m)
         again = load_ads(text, pa)
@@ -190,22 +190,22 @@ class TestStorageMachines:
         assert again.initial == m.initial and again.accepting == m.accepting
 
     def test_endmarkers_are_plain_tokens(self):
-        m = load_ads(ADS_TEXT, set_oracle().alphabet)
+        m = load_ads(ADS_TEXT, SetOracle().alphabet)
         assert ("w0", "lm", (), "w1") in m.write_moves
 
     def test_wrong_protocol_rejected(self):
         with pytest.raises(FormatError):
-            load_ads(ADS_TEXT, dyck_oracle().alphabet)
+            load_ads(ADS_TEXT, DyckOracle().alphabet)
 
     def test_bad_partition_kind(self):
         text = ADS_TEXT.replace("partition wr", "partition push")
         with pytest.raises(FormatError, match="partition kind"):
-            load_ads(text, set_oracle().alphabet)
+            load_ads(text, SetOracle().alphabet)
 
     def test_qmove_arity_line_number(self):
         text = ADS_TEXT + "qmove q0 #ins acc\n"
         with pytest.raises(FormatError, match="line 12"):
-            load_ads(text, set_oracle().alphabet)
+            load_ads(text, SetOracle().alphabet)
 
 
 TM_TEXT = """\

@@ -25,12 +25,12 @@ from adskit.logtm import (
     toy_test_first_tm,
 )
 from adskit.nrr import NrrInstance, nreg_generic
-from adskit.protocols import dyck_oracle, set_oracle
+from adskit.protocols import DyckOracle, SetOracle
 from adskit.verdict import SearchBounds, Verdict
 
 from genrand import AB, random_dfa
 
-SET = set_oracle()
+SET = SetOracle()
 
 
 def words_over(alphabet, max_len):
@@ -297,7 +297,7 @@ class TestRunWithProtocol:
 
     def test_query_write_symbols_checked_against_oracle(self):
         with pytest.raises(ValueError, match="write alphabet"):
-            run_with_protocol(toy_insert_test_tm(), ("a",), dyck_oracle())
+            run_with_protocol(toy_insert_test_tm(), ("a",), DyckOracle())
 
     def test_query_symbols_checked_against_oracle(self):
         tm = LogTm(

@@ -20,22 +20,22 @@ from adskit.nrr import (
     spk_to_perk_fst,
 )
 from adskit.protocols import (
-    dyck_oracle,
+    DyckOracle,
+    SetOracle,
+    SingleInsertOracle,
     membership,
     parse_blocks,
     per_k_membership,
-    set_oracle,
     sigma_k,
-    single_insert_set_oracle,
 )
 from adskit.transducers import identity_fst
 from adskit.verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
 
 from genrand import AB, random_ads, random_nfa
 
-SET = set_oracle()
+SET = SetOracle()
 SET_ALPHA = SET.alphabet.flattened()
-DYCK = dyck_oracle()
+DYCK = DyckOracle()
 DYCK_ALPHA = DYCK.alphabet.flattened()
 
 
@@ -101,7 +101,7 @@ class TestGenericDecider:
 
     def test_exact_dyck_rejects_unbalanced(self):
         a = nfa_for_words(DYCK_ALPHA, [("push(", "(")])
-        answer = nreg_generic(NrrInstance(a, dyck_oracle(exact_d2=True)))
+        answer = nreg_generic(NrrInstance(a, DyckOracle(exact_d2=True)))
         assert answer.verdict is Verdict.REJECT
         assert answer.witness is None
 
@@ -194,7 +194,7 @@ class TestDyckDecider:
             exact = rng.random() < 0.5
             fast = nreg_dyck(a, exact_d2=exact)
             assert fast.verdict is not Verdict.UNKNOWN
-            slow = nreg_generic(NrrInstance(a, dyck_oracle(exact)))
+            slow = nreg_generic(NrrInstance(a, DyckOracle(exact)))
             if slow.verdict is Verdict.UNKNOWN:
                 continue
             compared += 1
@@ -244,7 +244,7 @@ class TestPerkDecider:
         a = universal_nfa(PerKFilter(1).alphabet)
         assert decide(NrrInstance(a, PerKFilter(1))).verdict is Verdict.ACCEPT
         d = nfa_for_words(DYCK_ALPHA, [("push(", "(")])
-        assert decide(NrrInstance(d, dyck_oracle(True))).verdict is Verdict.REJECT
+        assert decide(NrrInstance(d, DyckOracle(True))).verdict is Verdict.REJECT
         s = nfa_for_words(SET_ALPHA, [("a", "#ins", "#")])
         assert decide(NrrInstance(s, SET)).verdict is Verdict.ACCEPT
 
@@ -307,7 +307,7 @@ class TestNonemptinessReduction:
 
 class TestMembershipReduction:
     def build_all_inputs_machine(self):
-        sis = single_insert_set_oracle(1)
+        sis = SingleInsertOracle(1)
         m = AdsAutomaton(
             write_states={"w0", "acc"},
             query_states={"q0"},
@@ -328,7 +328,7 @@ class TestMembershipReduction:
         assert nreg_generic(inst).verdict is Verdict.ACCEPT
 
     def test_rejected_input_fails_final_state_check(self):
-        sis = single_insert_set_oracle(1)
+        sis = SingleInsertOracle(1)
         m = AdsAutomaton(
             write_states={"w0", "acc"},
             query_states={"q0"},
@@ -422,7 +422,7 @@ class TestFilterTransfer:
     def test_empty_instance_stays_no(self):
         a = Nfa({"0"}, PerKFilter(2).alphabet, set(), "0", set())
         moved = filter_transfer(a, spk_to_perk_fst(2))
-        assert nreg_generic(NrrInstance(moved, single_insert_set_oracle(2))).verdict is Verdict.REJECT
+        assert nreg_generic(NrrInstance(moved, SingleInsertOracle(2))).verdict is Verdict.REJECT
 
     def test_output_alphabet_must_match(self):
         with pytest.raises(ValueError, match="alphabet"):
@@ -431,7 +431,7 @@ class TestFilterTransfer:
     def test_copy_instances_transfer_to_single_insert(self):
         rng = random.Random(408)
         t = spk_to_perk_fst(2)
-        sis = single_insert_set_oracle(2)
+        sis = SingleInsertOracle(2)
         small = words_over(tuple(sigma_k(2)), 4)
         hits = 0
         for _ in range(30):
@@ -479,7 +479,7 @@ class TestCopyTransductions:
 
     def expected_image(self, k, w, max_u):
         """Correct k-block protocols whose first ins word (if any) is w."""
-        sis = single_insert_set_oracle(k)
+        sis = SingleInsertOracle(k)
         us = words_over(tuple(sigma_k(k)), max_u)
         out = set()
 
@@ -500,7 +500,7 @@ class TestCopyTransductions:
     @pytest.mark.parametrize("k", [1, 2])
     def test_perk_to_spk_image_characterization(self, k):
         t = perk_to_spk_fst(k)
-        sis = single_insert_set_oracle(k)
+        sis = SingleInsertOracle(k)
         max_u = 3
         cap = k * (max_u + 2)
         for w in words_over(tuple(sigma_k(k)), 2):

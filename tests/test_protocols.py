@@ -5,17 +5,17 @@ import pytest
 from adskit.automata import Alphabet
 from adskit.protocols import (
     BlockParseError,
+    DyckOracle,
     ProtocolAlphabet,
     ProtocolBlock,
+    SetOracle,
+    SingleInsertOracle,
     axiom_fuzz,
-    dyck_oracle,
     flatten_blocks,
     membership,
     parse_blocks,
     per_k_membership,
     random_member,
-    set_oracle,
-    single_insert_set_oracle,
 )
 from oracles import naive_set_replay
 
@@ -44,8 +44,8 @@ class TestProtocolAlphabet:
 
 class TestParseBlocks:
     def setup_method(self):
-        self.dyck = dyck_oracle().alphabet
-        self.set = set_oracle().alphabet
+        self.dyck = DyckOracle().alphabet
+        self.set = SetOracle().alphabet
 
     def test_two_blocks(self):
         blocks = parse_blocks(("push(", "(", "pop", ")"), self.dyck)
@@ -78,7 +78,7 @@ class TestParseBlocks:
 
 class TestSetOracle:
     def setup_method(self):
-        self.o = set_oracle()
+        self.o = SetOracle()
 
     def test_insert_then_test(self):
         assert membership(self.o, ("a", "#ins", "#", "a", "#test", "+#"))
@@ -132,27 +132,27 @@ class TestSetOracle:
 class TestDyckOracle:
     def test_nested_brackets(self):
         word = ("push(", "(", "push[", "[", "pop", "]", "pop", ")")
-        assert membership(dyck_oracle(), word)
-        assert membership(dyck_oracle(exact_d2=True), word)
+        assert membership(DyckOracle(), word)
+        assert membership(DyckOracle(exact_d2=True), word)
 
     def test_open_prefix(self):
         word = ("push(", "(")
-        assert membership(dyck_oracle(), word)
-        assert not membership(dyck_oracle(exact_d2=True), word)
+        assert membership(DyckOracle(), word)
+        assert not membership(DyckOracle(exact_d2=True), word)
 
     def test_pop_on_empty(self):
-        assert not membership(dyck_oracle(), ("pop", ")"))
-        assert not membership(dyck_oracle(exact_d2=True), ("pop", ")"))
+        assert not membership(DyckOracle(), ("pop", ")"))
+        assert not membership(DyckOracle(exact_d2=True), ("pop", ")"))
 
     def test_wrong_closer(self):
-        assert not membership(dyck_oracle(), ("push(", "(", "pop", "]"))
+        assert not membership(DyckOracle(), ("push(", "(", "pop", "]"))
 
     def test_write_word_rejected(self):
         # no write alphabet, so any stray token breaks the block shape
-        assert not membership(dyck_oracle(), ("x", "push(", "("))
+        assert not membership(DyckOracle(), ("x", "push(", "("))
 
     def test_block_prefixes_of_member(self):
-        o = dyck_oracle()
+        o = DyckOracle()
         word = ("push(", "(", "push[", "[", "pop", "]", "pop", ")")
         blocks = parse_blocks(word, o.alphabet)
         for cut in range(len(blocks) + 1):
@@ -161,7 +161,7 @@ class TestDyckOracle:
 
 class TestSingleInsert:
     def setup_method(self):
-        self.o = single_insert_set_oracle(2)
+        self.o = SingleInsertOracle(2)
 
     def test_store_and_hit(self):
         assert membership(self.o, ("0", "ins", "+", "0", "test", "+"))
@@ -182,10 +182,10 @@ class TestSingleInsert:
         assert membership(self.o, ("0", "1", "ins", "+", "1", "0", "test", "-"))
 
     def test_alphabet_size(self):
-        o = single_insert_set_oracle(3)
+        o = SingleInsertOracle(3)
         assert o.alphabet.gamma_wr.symbols == ("0", "1", "2")
         with pytest.raises(ValueError):
-            single_insert_set_oracle(0)
+            SingleInsertOracle(0)
 
 
 class TestPerK:
@@ -213,8 +213,9 @@ class TestPerK:
 
 
 class TestRandomMember:
-    @pytest.mark.parametrize("make", [set_oracle, dyck_oracle,
-                                      lambda: single_insert_set_oracle(2)])
+    @pytest.mark.parametrize("make", [pytest.param(SetOracle, id="set_oracle"),
+                                      pytest.param(DyckOracle, id="dyck_oracle"),
+                                      lambda: SingleInsertOracle(2)])
     def test_generated_words_are_members(self, make):
         rng = random.Random(5)
         o = make()
@@ -225,9 +226,9 @@ class TestRandomMember:
 
 class TestAxiomFuzz:
     @pytest.mark.parametrize("make,axioms", [
-        (set_oracle, "i ii iii iv v"),
-        (lambda: single_insert_set_oracle(3), "i ii iii iv v"),
-        (dyck_oracle, "i ii iii v"),
+        pytest.param(SetOracle, "i ii iii iv v", id="set_oracle-i ii iii iv v"),
+        (lambda: SingleInsertOracle(3), "i ii iii iv v"),
+        pytest.param(DyckOracle, "i ii iii v", id="dyck_oracle-i ii iii v"),
     ])
     def test_clean_oracles(self, make, axioms):
         for axiom in axioms.split():
@@ -235,30 +236,30 @@ class TestAxiomFuzz:
             assert report.ok, report.summary()
 
     def test_dyck_pop_gap_reported(self):
-        report = axiom_fuzz(dyck_oracle(), "iv", trials=300, seed=3)
+        report = axiom_fuzz(DyckOracle(), "iv", trials=300, seed=3)
         assert not report.ok
         assert any("pop" in v for v in report.violations)
 
     def test_exact_dyck_not_prefix_closed(self):
-        report = axiom_fuzz(dyck_oracle(exact_d2=True), "iii", trials=300, seed=3)
+        report = axiom_fuzz(DyckOracle(exact_d2=True), "iii", trials=300, seed=3)
         assert not report.ok
 
     def test_reset_without_declaration(self):
-        report = axiom_fuzz(set_oracle(), "vi", trials=10, seed=0)
+        report = axiom_fuzz(SetOracle(), "vi", trials=10, seed=0)
         assert report.violations == ["oracle declares no reset symbols"]
 
     def test_unknown_axiom(self):
         with pytest.raises(ValueError):
-            axiom_fuzz(set_oracle(), "vii", trials=1)
+            axiom_fuzz(SetOracle(), "vii", trials=1)
 
     def test_summary_mentions_counts(self):
-        report = axiom_fuzz(set_oracle(), "v", trials=7, seed=1)
+        report = axiom_fuzz(SetOracle(), "v", trials=7, seed=1)
         assert "7 trials, 0 violations" in report.summary()
 
 
 class TestCanonicalKey:
     def test_set_key_tracks_contents(self):
-        o = set_oracle()
+        o = SetOracle()
         s = o.initial_state()
         _, s = o.respond(s, ("b",), "#ins")
         _, s = o.respond(s, ("a",), "#ins")
@@ -271,14 +272,14 @@ class TestCanonicalKey:
         assert o.canonical_key(s) != o.canonical_key(t2)
 
     def test_stored_empty_word_distinct_from_empty_set(self):
-        o = set_oracle()
+        o = SetOracle()
         empty = o.initial_state()
         _, holds_eps = o.respond(empty, (), "#ins")
         assert o.canonical_key(empty) != o.canonical_key(holds_eps)
 
     def test_equal_keys_respond_equally(self):
         rng = random.Random(9)
-        for make in (set_oracle, dyck_oracle, lambda: single_insert_set_oracle(2)):
+        for make in (SetOracle, DyckOracle, lambda: SingleInsertOracle(2)):
             o = make()
             pool = []
             for _ in range(60):

@@ -11,6 +11,7 @@ from adskit.universality import (
     BINARY,
     PROT_X,
     OracleX,
+    ProtXOracle,
     WCache,
     beta,
     delta_L,
@@ -19,7 +20,6 @@ from adskit.universality import (
     l_membership,
     length_sets,
     lex_extreme,
-    prot_x_oracle,
     sq,
     sq_decode,
     universality_decide,
@@ -198,12 +198,12 @@ class TestProtXOracle:
 
     def test_forward_reduce_membership_roundtrip(self):
         for members in (set(), {""}, {"0", "11"}, {"0110", "1"}):
-            oracle = prot_x_oracle(OracleX(members))
+            oracle = ProtXOracle(OracleX(members))
             for x in binary_words(4):
                 assert membership(oracle, forward_reduce(x)) == (x in members), x
 
     def test_reset_blocks(self):
-        oracle = prot_x_oracle(OracleX())
+        oracle = ProtXOracle(OracleX())
         assert membership(oracle, ("r", "r"))
         assert membership(oracle, ("r", "r", "r", "r"))
         assert not membership(oracle, ("0", "r", "r"))
@@ -211,7 +211,7 @@ class TestProtXOracle:
         assert not membership(oracle, ("0", "#", "-"))
 
     def test_axioms(self):
-        oracle = prot_x_oracle(OracleX({"0"}))
+        oracle = ProtXOracle(OracleX({"0"}))
         for axiom in ("i", "ii", "iii", "v", "vi"):
             report = axiom_fuzz(oracle, axiom, trials=150, max_len=8)
             assert report.ok, report.summary()
@@ -221,7 +221,7 @@ class TestProtXOracle:
         assert not report.ok
 
     def test_stateless(self):
-        oracle = prot_x_oracle(OracleX())
+        oracle = ProtXOracle(OracleX())
         state = oracle.initial_state()
         answer, state2 = oracle.respond(state, ("0",), "#")
         assert answer == "+"
@@ -493,7 +493,7 @@ class TestUniversalityDecide:
         answer = universality_decide(a, OracleX())
         assert answer.nonempty
         assert answer.oracle_calls == 0
-        bounded = nreg_generic(NrrInstance(a, prot_x_oracle(OracleX())))
+        bounded = nreg_generic(NrrInstance(a, ProtXOracle(OracleX())))
         assert bounded.verdict is Verdict.UNKNOWN
 
     def test_epsilon_moves_allowed(self):
@@ -514,7 +514,7 @@ class TestUniversalityDecide:
             members = {w for w in pool if rng.random() < 0.4}
             answer = universality_decide(a, OracleX(members))
             verdict = nreg_generic(
-                NrrInstance(a, prot_x_oracle(OracleX(members)))).verdict
+                NrrInstance(a, ProtXOracle(OracleX(members)))).verdict
             assert verdict is not Verdict.UNKNOWN
             assert answer.nonempty == (verdict is Verdict.ACCEPT)
 

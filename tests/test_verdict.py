@@ -1,0 +1,77 @@
+from adskit.verdict import PRUNED, Verdict, bounded_search
+
+
+def search(graph, goals=(), max_configs=100):
+    """Run the engine over a dict graph: node -> [(next, cost, label) | PRUNED]."""
+    return bounded_search("s", lambda node, cost: graph.get(node, ()),
+                          lambda node: node in goals, max_configs)
+
+
+CYCLE = {
+    "s": [("a", 0, "sa"), ("b", 0, "sb")],
+    "a": [("b", 0, "ab")],
+    "b": [("s", 0, "bs"), ("c", 0, "bc")],
+}
+
+
+class TestVerdicts:
+    def test_exhausted_search_rejects(self):
+        assert search(CYCLE) == (Verdict.REJECT, None)
+
+    def test_cap_equal_to_the_graph_still_rejects(self):
+        assert search(CYCLE, max_configs=4) == (Verdict.REJECT, None)
+
+    def test_cap_hit_gives_unknown(self):
+        assert search(CYCLE, max_configs=3) == (Verdict.UNKNOWN, None)
+
+    def test_pruned_move_gives_unknown(self):
+        graph = dict(CYCLE, c=[PRUNED])
+        assert search(graph) == (Verdict.UNKNOWN, None)
+
+    def test_goal_found_despite_pruning(self):
+        graph = dict(CYCLE, s=[PRUNED] + CYCLE["s"])
+        assert search(graph, goals={"c"}) == (Verdict.ACCEPT, ("sb", "bc"))
+
+    def test_start_goal_has_empty_path(self):
+        assert search(CYCLE, goals={"s"}) == (Verdict.ACCEPT, ())
+
+
+class TestCheaperRevisits:
+    def test_cheaper_revisit_replaces_the_parent(self):
+        # c is found through a at cost 1 before b lowers a to cost 0
+        graph = {
+            "s": [("a", 1, "sa"), ("b", 0, "sb")],
+            "a": [("c", 1, "ac")],
+            "b": [("a", 0, "ba")],
+        }
+        assert search(graph, goals={"c"}) == (Verdict.ACCEPT, ("sb", "ba", "ac"))
+
+    def test_revisit_is_expanded_at_the_lower_cost(self):
+        graph = {
+            "s": [("a", 1, "sa"), ("b", 0, "sb")],
+            "b": [("a", 0, "ba")],
+        }
+        expanded = []
+
+        def successors(node, cost):
+            expanded.append((node, cost))
+            return graph.get(node, ())
+
+        assert bounded_search("s", successors, lambda n: False, 10) == (Verdict.REJECT, None)
+        assert expanded == [("s", 0), ("a", 1), ("b", 0), ("a", 0)]
+
+    def test_equal_cost_revisit_keeps_the_first_parent(self):
+        graph = {
+            "s": [("a", 0, "sa"), ("b", 0, "sb")],
+            "b": [("a", 0, "ba")],
+        }
+        assert search(graph, goals={"a"}) == (Verdict.ACCEPT, ("sa",))
+
+    def test_cheaper_revisit_taken_after_the_cap(self):
+        # the store is full (s, b, a) when b's move to y hits the cap; its
+        # later move still lowers a, so a is reached through b
+        graph = {
+            "s": [("b", 0, "sb"), ("a", 1, "sa")],
+            "b": [("y", 0, "by"), ("a", 0, "ba")],
+        }
+        assert search(graph, goals={"a"}, max_configs=3) == (Verdict.ACCEPT, ("sb", "ba"))
