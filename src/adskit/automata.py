@@ -72,7 +72,8 @@ class Alphabet:
 class Nfa:
     """Epsilon-NFA with a single initial state.
 
-    Immutable by convention; all operations return fresh automata.
+    Immutable by convention, so an operation that would rebuild a plain
+    Nfa unchanged (trim, eliminate_eps) returns the automaton itself.
     Transitions are (src, symbol-or-None, dst) triples where None is
     the epsilon label.
     """
@@ -169,7 +170,8 @@ class Nfa:
         """Restrict to states both reachable and co-reachable.
 
         If nothing useful survives, the canonical one-state empty
-        automaton is returned so all empty results compare equal.
+        automaton is returned so all empty results compare equal.  A
+        subclass such as Dfa always gets a fresh plain Nfa back.
         """
         forward = self.reachable(self.initial)
         into = {}
@@ -186,6 +188,8 @@ class Nfa:
         keep = forward & backward
         if self.initial not in keep:
             return canonical_empty(self.alphabet)
+        if keep == self.states and type(self) is Nfa:
+            return self
         return Nfa(
             keep,
             self.alphabet,
@@ -263,6 +267,8 @@ class Nfa:
 
     def eliminate_eps(self) -> "Nfa":
         """Equivalent automaton without epsilon transitions (same state set)."""
+        if type(self) is Nfa and all(sym is not None for _, sym, _ in self.transitions):
+            return self
         closures = {s: self.eps_closure([s]) for s in self.states}
         transitions = set()
         accepting = set()
@@ -338,39 +344,63 @@ def nfa_for_words(alphabet: Alphabet, words: Iterable[Word]) -> Nfa:
     return Nfa(states, alphabet, transitions, root, accepting)
 
 
+def pair_product(left, right, start, accepting):
+    """Reachable part of the product of two machines run in step.
+
+    left[p] lists (label, letter, p2) and right[q] lists (letter, out, q2);
+    a state missing from a mapping has no moves.  A move whose letter is
+    None runs alone; a left move with a letter pairs with every right move
+    reading the same letter.  Starting from the state pair `start`, returns
+    the "(p|q)" names, a list of the moves as (src, label, out, dst) (label
+    None on a right-alone move, out () on a left-alone move; a move may be
+    listed twice), the initial name and the names whose halves lie in the
+    two sets of `accepting`.
+    """
+    def name(p, q):
+        return f"({p}|{q})"
+
+    seen = {start}
+    todo = deque(seen)
+    moves = []
+    while todo:
+        p, q = todo.popleft()
+        row = right.get(q, ())
+        steps = []
+        for label, letter, p2 in left.get(p, ()):
+            if letter is None:
+                steps.append((label, (), (p2, q)))
+            else:
+                for read, out, q2 in row:
+                    if read == letter:
+                        steps.append((label, out, (p2, q2)))
+        for read, out, q2 in row:
+            if read is None:
+                steps.append((None, out, (p, q2)))
+        src = name(p, q)
+        for label, out, target in steps:
+            moves.append((src, label, out, name(*target)))
+            if target not in seen:
+                seen.add(target)
+                todo.append(target)
+    left_acc, right_acc = accepting
+    names = {name(p, q) for p, q in seen}
+    final = {name(p, q) for p, q in seen if p in left_acc and q in right_acc}
+    return names, moves, name(*start), final
+
+
+def reading_rows(a: Nfa) -> dict:
+    """The automaton as the right side of pair_product: it reads, writes nothing."""
+    return {s: [(sym, (), d) for sym, d in row] for s, row in a._out.items()}
+
+
 def product_intersect(a: Nfa, b: Nfa) -> Nfa:
     """Automaton for L(a) & L(b); alphabets must carry the same symbols."""
     if not a.alphabet.same_symbols(b.alphabet):
         raise ValueError("product requires alphabets with equal symbol sets")
-
-    def name(p, q):
-        return f"({p}|{q})"
-
-    start = (a.initial, b.initial)
-    todo = deque([start])
-    seen = {start}
-    transitions = set()
-    while todo:
-        p, q = todo.popleft()
-        moves = []
-        for sym, p2 in a._out.get(p, ()):
-            if sym is None:
-                moves.append((None, (p2, q)))
-            else:
-                for label, q2 in b._out.get(q, ()):
-                    if label == sym:
-                        moves.append((sym, (p2, q2)))
-        for label, q2 in b._out.get(q, ()):
-            if label is None:
-                moves.append((None, (p, q2)))
-        for sym, target in moves:
-            transitions.add((name(p, q), sym, name(*target)))
-            if target not in seen:
-                seen.add(target)
-                todo.append(target)
-    states = {name(p, q) for p, q in seen}
-    accepting = {name(p, q) for p, q in seen if p in a.accepting and q in b.accepting}
-    return Nfa(states, a.alphabet, transitions, name(*start), accepting)
+    left = {s: [(sym, sym, d) for sym, d in row] for s, row in a._out.items()}
+    states, moves, initial, accepting = pair_product(
+        left, reading_rows(b), (a.initial, b.initial), (a.accepting, b.accepting))
+    return Nfa(states, a.alphabet, [(s, sym, d) for s, sym, _, d in moves], initial, accepting)
 
 
 def to_dot(a: Nfa, title: str = "automaton") -> str:

@@ -400,8 +400,6 @@ def filter_transfer(a: Nfa, t: Fst) -> Nfa:
 
     The result reads F2-side words: L(a) ∩ F1 ≠ ∅ iff L(result) ∩ F2 ≠ ∅.
     """
-    if not t.output_alphabet.same_symbols(a.alphabet):
-        raise ValueError("transducer output alphabet must match the instance alphabet")
     return preimage_nfa(t, a)
 
 

@@ -10,7 +10,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .automata import Alphabet, Nfa, Word
+from .automata import Alphabet, Nfa, Word, pair_product, reading_rows
 
 
 class Fst:
@@ -132,40 +132,21 @@ def letter_split(t: Fst) -> Fst:
     return Fst(states, t.input_alphabet, t.output_alphabet, transitions, t.initial, t.accepting)
 
 
+def _split_rows(t: Fst) -> dict:
+    """letter_split(t) as the left side of pair_product: each move hands on
+    its one output letter, or None when it outputs nothing.  The split keeps
+    t's initial and accepting states."""
+    return {q: [(sym, out[0] if out else None, d) for sym, out, d in row]
+            for q, row in letter_split(t)._out.items()}
+
+
 def compose(t1: Fst, t2: Fst) -> Fst:
     """Relational composition: u ↦ v iff some w has u t1 w and w t2 v."""
     if not t1.output_alphabet.same_symbols(t2.input_alphabet):
         raise ValueError("compose requires t1 output alphabet = t2 input alphabet")
-    s1 = letter_split(t1)
-
-    def name(p, q):
-        return f"({p}|{q})"
-
-    start = (s1.initial, t2.initial)
-    seen = {start}
-    queue = deque([start])
-    transitions = set()
-    while queue:
-        p, q = queue.popleft()
-        moves = []
-        for sym, out, p2 in s1._out.get(p, ()):
-            if not out:
-                moves.append((sym, (), (p2, q)))
-            else:
-                for label, out2, q2 in t2._out.get(q, ()):
-                    if label == out[0]:
-                        moves.append((sym, out2, (p2, q2)))
-        for label, out2, q2 in t2._out.get(q, ()):
-            if label is None:
-                moves.append((None, out2, (p, q2)))
-        for sym, out, target in moves:
-            transitions.add((name(p, q), sym, out, name(*target)))
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    states = {name(p, q) for p, q in seen}
-    accepting = {name(p, q) for p, q in seen if p in s1.accepting and q in t2.accepting}
-    return Fst(states, t1.input_alphabet, t2.output_alphabet, transitions, name(*start), accepting)
+    states, moves, initial, accepting = pair_product(
+        _split_rows(t1), t2._out, (t1.initial, t2.initial), (t1.accepting, t2.accepting))
+    return Fst(states, t1.input_alphabet, t2.output_alphabet, moves, initial, accepting)
 
 
 def invert(t: Fst) -> Fst:
@@ -183,36 +164,10 @@ def preimage_nfa(t: Fst, a: Nfa) -> Nfa:
     """NFA for {u : apply(t, u) meets L(a)}."""
     if not t.output_alphabet.same_symbols(a.alphabet):
         raise ValueError("preimage requires t output alphabet = automaton alphabet")
-    s = letter_split(t)
-
-    def name(p, q):
-        return f"({p}|{q})"
-
-    start = (s.initial, a.initial)
-    seen = {start}
-    queue = deque([start])
-    transitions = set()
-    while queue:
-        p, q = queue.popleft()
-        moves = []
-        for sym, out, p2 in s._out.get(p, ()):
-            if not out:
-                moves.append((sym, (p2, q)))
-            else:
-                for label, q2 in a._out.get(q, ()):
-                    if label == out[0]:
-                        moves.append((sym, (p2, q2)))
-        for label, q2 in a._out.get(q, ()):
-            if label is None:
-                moves.append((None, (p, q2)))
-        for sym, target in moves:
-            transitions.add((name(p, q), sym, name(*target)))
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    states = {name(p, q) for p, q in seen}
-    accepting = {name(p, q) for p, q in seen if p in s.accepting and q in a.accepting}
-    return Nfa(states, t.input_alphabet, transitions, name(*start), accepting)
+    states, moves, initial, accepting = pair_product(
+        _split_rows(t), reading_rows(a), (t.initial, a.initial), (t.accepting, a.accepting))
+    return Nfa(states, t.input_alphabet, [(p, sym, d) for p, sym, _, d in moves],
+               initial, accepting)
 
 
 def image_nfa(t: Fst, a: Nfa) -> Nfa:

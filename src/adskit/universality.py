@@ -638,16 +638,6 @@ def _delta_both(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None,
     return frozenset(in_l), frozenset(in_lbar)
 
 
-def delta_L(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None) -> frozenset:
-    """States s2 with some binary word in L leading from s to s2."""
-    return _delta_both(a, s, x_oracle, w_source)[0]
-
-
-def delta_Lbar(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None) -> frozenset:
-    """States s2 with some binary word outside L leading from s to s2."""
-    return _delta_both(a, s, x_oracle, w_source)[1]
-
-
 # -- the decision procedure ----------------------------------------------
 
 DECIDE_ALPHABET = Alphabet(["y", "n", "#", "+", "-", "r"])

@@ -42,12 +42,11 @@ from adskit.protocols import (
 )
 from adskit.transducers import compose, image_nfa, invert
 from adskit.universality import (
+    _delta_both,
     OracleX,
     forward_reduce,
     l_membership,
     lex_extreme,
-    delta_L,
-    delta_Lbar,
     ProtXOracle,
     universality_decide,
     w_params,
@@ -444,8 +443,7 @@ def test_c10_graded_language_suite(capsys):
         a = random_dag_nfa(rng, max_states=5)
         x = OracleX(members)
         cache = WCache()
-        got_l = {s: frozenset(delta_L(a, s, x)) for s in a.states}
-        got_lbar = {s: frozenset(delta_Lbar(a, s, x)) for s in a.states}
+        got = {s: _delta_both(a, s, x) for s in a.states}
         for s in a.states:
             want_l = set()
             want_lbar = set()
@@ -458,7 +456,7 @@ def test_c10_graded_language_suite(capsys):
                     else:
                         want_lbar.add(s2)
             delta_checked += 1
-            if got_l[s] != frozenset(want_l) or got_lbar[s] != frozenset(want_lbar):
+            if got[s] != (frozenset(want_l), frozenset(want_lbar)):
                 problems.append(f"membership split differs at {s}")
 
     # (d) full decision against the bounded search, plus the word map

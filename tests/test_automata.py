@@ -77,6 +77,14 @@ class TestTrim:
         assert a.trim() == a
         assert a.trim().trim() == a.trim()
 
+    def test_trim_input_comes_back_unchanged(self):
+        a = Nfa({"q0", "q1"}, A, {("q0", "a", "q1"), ("q1", None, "q0")}, "q0", {"q1"})
+        assert a.trim() is a
+
+    def test_eps_free_input_comes_back_unchanged(self):
+        a = Nfa({"q0", "q1"}, A, {("q0", "a", "q1")}, "q0", {"q1"})
+        assert a.eliminate_eps() is a
+
     def test_empty_language_is_canonical(self):
         a = Nfa({"q0", "q1"}, A, {("q0", "a", "q0")}, "q0", set())
         assert a.trim() == canonical_empty(A)
@@ -106,6 +114,23 @@ class TestProduct:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             product_intersect(universal_nfa(A), universal_nfa(AB))
+
+    def test_pinned_machine(self):
+        # epsilon moves on both sides; pair names are "(p|q)"
+        a = Nfa({"p0", "p1", "p2"}, AB,
+                {("p0", None, "p1"), ("p1", "a", "p2"), ("p2", "b", "p2")}, "p0", {"p2"})
+        b = Nfa({"q0", "q1"}, AB,
+                {("q0", "a", "q1"), ("q1", None, "q0"), ("q1", "b", "q1")}, "q0", {"q1"})
+        p = product_intersect(a, b)
+        assert p.states == {"(p0|q0)", "(p1|q0)", "(p2|q0)", "(p2|q1)"}
+        assert p.transitions == {
+            ("(p0|q0)", None, "(p1|q0)"),
+            ("(p1|q0)", "a", "(p2|q1)"),
+            ("(p2|q1)", "b", "(p2|q1)"),
+            ("(p2|q1)", None, "(p2|q0)"),
+        }
+        assert p.initial == "(p0|q0)"
+        assert p.accepting == {"(p2|q1)"}
 
 
 class TestEmptinessFiniteness:
@@ -249,6 +274,12 @@ class TestDfa:
         assert d.accepts(("a",))
         assert not d.accepts(("b",))
         assert d.delta("q", "b") is None
+
+    def test_trim_gives_plain_nfa(self):
+        d = Dfa({"q", "p"}, AB, {("q", "a", "p")}, "q", {"p"})
+        t = d.trim()
+        assert type(t) is Nfa
+        assert t == Nfa(d.states, AB, d.transitions, "q", {"p"})
 
 
 def test_dot_export_mentions_all_states():

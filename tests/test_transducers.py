@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from adskit.automata import Alphabet, canonical_empty, nfa_for_words, universal_nfa
+from adskit.automata import Alphabet, Nfa, canonical_empty, nfa_for_words, universal_nfa
 from adskit.transducers import (
     Fst,
     compose,
@@ -30,6 +30,12 @@ def t_a_to_bb():
 
 def t_b_to_c():
     return Fst({"0"}, B, C, {("0", "b", ("c",), "0")}, "0", {"0"})
+
+
+def t_a_to_bb_looping():
+    """a -> bb, then an epsilon move back that outputs nothing."""
+    return Fst({"0", "1"}, A, B,
+               {("0", "a", ("b", "b"), "1"), ("1", None, (), "0")}, "0", {"1"})
 
 
 class TestApply:
@@ -98,6 +104,48 @@ class TestCompose:
             right = compose(t1, compose(t2, t3))
             for u in all_words(t1.input_alphabet, 3):
                 assert left.apply(u, 10).words == right.apply(u, 10).words
+
+
+class TestPinnedMachines:
+    """Exact machines on one fixture: the split output bb goes through the
+    fresh state 0+0.0, and both sides have epsilon moves."""
+
+    def test_compose(self):
+        t2 = Fst({"x", "y"}, B, C,
+                 {("x", "b", ("c",), "y"), ("y", None, ("c",), "x"), ("y", "b", (), "y")},
+                 "x", {"y"})
+        c = compose(t_a_to_bb_looping(), t2)
+        assert c.states == {"(0|x)", "(0|y)", "(1|x)", "(1|y)", "(0+0.0|x)", "(0+0.0|y)"}
+        assert c.transitions == {
+            ("(0+0.0|x)", None, ("c",), "(1|y)"),
+            ("(0+0.0|y)", None, ("c",), "(0+0.0|x)"),
+            ("(0+0.0|y)", None, (), "(1|y)"),
+            ("(0|x)", "a", ("c",), "(0+0.0|y)"),
+            ("(0|y)", "a", (), "(0+0.0|y)"),
+            ("(0|y)", None, ("c",), "(0|x)"),
+            ("(1|x)", None, (), "(0|x)"),
+            ("(1|y)", None, ("c",), "(1|x)"),
+            ("(1|y)", None, (), "(0|y)"),
+        }
+        assert c.initial == "(0|x)"
+        assert c.accepting == {"(1|y)"}
+
+    def test_preimage(self):
+        n = Nfa({"m0", "m1"}, B, {("m0", "b", "m1"), ("m1", None, "m0")}, "m0", {"m1"})
+        p = preimage_nfa(t_a_to_bb_looping(), n)
+        assert p.states == {"(0|m0)", "(0|m1)", "(1|m0)", "(1|m1)",
+                            "(0+0.0|m0)", "(0+0.0|m1)"}
+        assert p.transitions == {
+            ("(0+0.0|m0)", None, "(1|m1)"),
+            ("(0+0.0|m1)", None, "(0+0.0|m0)"),
+            ("(0|m0)", "a", "(0+0.0|m1)"),
+            ("(0|m1)", None, "(0|m0)"),
+            ("(1|m0)", None, "(0|m0)"),
+            ("(1|m1)", None, "(0|m1)"),
+            ("(1|m1)", None, "(1|m0)"),
+        }
+        assert p.initial == "(0|m0)"
+        assert p.accepting == {"(1|m1)"}
 
 
 class TestInvert:

@@ -14,8 +14,6 @@ from adskit.universality import (
     ProtXOracle,
     WCache,
     beta,
-    delta_L,
-    delta_Lbar,
     forward_reduce,
     l_membership,
     length_sets,
@@ -343,28 +341,32 @@ class TestDeltas:
     def test_single_zero_edge(self):
         a = Nfa({"p", "q"}, BINARY, {("p", "0", "q")}, "p", {"q"})
         x = OracleX()
-        assert delta_L(a, "p", x) == {"p", "q"}
-        assert delta_Lbar(a, "p", x) == frozenset()
+        dl, dlbar = _delta_both(a, "p", x)
+        assert dl == {"p", "q"}
+        assert dlbar == frozenset()
 
     def test_path_one_zero(self):
         a = Nfa({"p", "m", "q"}, BINARY,
                 {("p", "1", "m"), ("m", "0", "q")}, "p", {"q"})
         x = OracleX()
         # "1" is odd so m arrives through L; "10" compares halves 1 > 0
-        assert delta_L(a, "p", x) == {"p", "m"}
-        assert delta_Lbar(a, "p", x) == {"q"}
+        dl, dlbar = _delta_both(a, "p", x)
+        assert dl == {"p", "m"}
+        assert dlbar == {"q"}
 
     def test_empty_word_always_counts(self):
         lonely = Nfa({"s"}, BINARY, set(), "s", set())
         x = OracleX()
-        assert delta_L(lonely, "s", x) == {"s"}
-        assert delta_Lbar(lonely, "s", x) == frozenset()
+        dl, dlbar = _delta_both(lonely, "s", x)
+        assert dl == {"s"}
+        assert dlbar == frozenset()
 
     def test_cycle_lands_in_both(self):
         cyc = Nfa({"s"}, BINARY, {("s", "0", "s")}, "s", {"s"})
         x = OracleX()
-        assert delta_L(cyc, "s", x) == {"s"}
-        assert delta_Lbar(cyc, "s", x) == {"s"}
+        dl, dlbar = _delta_both(cyc, "s", x)
+        assert dl == {"s"}
+        assert dlbar == {"s"}
         assert x.calls == 0
 
     def test_square_edge_consults_oracle(self):
@@ -373,10 +375,10 @@ class TestDeltas:
         trans = {(f"s{i}", word[i], f"s{i+1}") for i in range(len(word))}
         a = Nfa(states, BINARY, trans, "s0", {f"s{len(word)}"})
         x = OracleX({"0"})
-        assert f"s{len(word)}" in delta_L(a, "s0", x)
+        assert f"s{len(word)}" in _delta_both(a, "s0", x)[0]
         assert x.calls == 1
         x2 = OracleX()
-        assert f"s{len(word)}" in delta_Lbar(a, "s0", x2)
+        assert f"s{len(word)}" in _delta_both(a, "s0", x2)[1]
         assert x2.calls == 1
 
     def test_matches_brute_force(self):
@@ -406,13 +408,15 @@ class TestDeltas:
                 {("p", "1", "m"), ("m", "0", "q")}, "p", {"q"})
         x = OracleX()
         as_accepted = lambda n: [("10", True)]
-        assert "q" in delta_L(a, "p", x, w_source=as_accepted)
+        dl, dlbar = _delta_both(a, "p", x, w_source=as_accepted)
+        assert "q" in dl
         # and the exclusion really removes the word: nothing reaches the
         # complement side even though plain grading would put it there
-        assert "q" not in delta_Lbar(a, "p", x, w_source=as_accepted)
+        assert "q" not in dlbar
         as_rejected = lambda n: [("10", False)]
-        assert "q" not in delta_L(a, "p", x, w_source=as_rejected)
-        assert "q" in delta_Lbar(a, "p", x, w_source=as_rejected)
+        dl, dlbar = _delta_both(a, "p", x, w_source=as_rejected)
+        assert "q" not in dl
+        assert "q" in dlbar
 
     def test_exclusion_spares_other_words(self):
         trie = nfa_for_words(BINARY, [("1", "0"), ("1", "1", "0", "0")])
