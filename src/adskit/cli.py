@@ -338,14 +338,19 @@ def _cmd_nrr_filter_transfer(ns) -> int:
 
 
 def _cmd_logtm_run(ns) -> int:
+    if ns.oracle is not None and ns.step_cap is not None:
+        raise UsageError("--step-cap applies to advice runs only, not with --oracle")
+    if ns.oracle is None and ns.bounds is not None:
+        raise UsageError("--bounds applies to oracle runs only; it needs --oracle")
     tm = load_tm(_read(ns.file))
     word = _tokens(ns.word)
     if ns.oracle is not None:
         verdict = logtm_mod.run_with_protocol(tm, word, _oracle(ns.oracle),
                                               bounds=_bounds(ns.bounds))
     else:
-        verdict = logtm_mod.run_with_advice(tm, word, _advice_word(ns.advice),
-                                            step_cap=ns.step_cap)
+        # without --step-cap the run keeps run_with_advice's own default
+        cap = {} if ns.step_cap is None else {"step_cap": ns.step_cap}
+        verdict = logtm_mod.run_with_advice(tm, word, _advice_word(ns.advice), **cap)
     return _verdict_report(verdict, ns.format)
 
 
@@ -539,7 +544,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--advice")
     p.add_argument("--oracle")
     p.add_argument("--bounds")
-    p.add_argument("--step-cap", type=int, default=100_000)
+    p.add_argument("--step-cap", type=int)
     _add_common(p)
     p.set_defaults(fn=_cmd_logtm_run)
     p = logtm.add_parser("surface-nfa")

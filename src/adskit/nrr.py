@@ -148,9 +148,9 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
 def _pair_edges(a: Nfa, first: str, second: str) -> list:
     """State pairs connected by reading the two tokens (with closures)."""
     edges = []
-    for p in a.states:
+    for p in sorted(a.states):
         reach = a.step(a.step(a.eps_closure([p]), first), second)
-        for q in reach:
+        for q in sorted(reach):
             edges.append((p, q))
     return edges
 
@@ -186,8 +186,8 @@ def nreg_dyck(a: Nfa, exact_d2: bool = False) -> NrrAnswer:
     push_tokens = {"(": tokens["push("], "[": tokens["push["]}
 
     balanced = {}
-    for p in a.states:
-        for q in a.eps_closure([p]):
+    for p in sorted(a.states):
+        for q in sorted(a.eps_closure([p])):
             balanced[(p, q)] = ()
 
     def add(store, p, q, word):

@@ -14,12 +14,12 @@ into a plain regular emptiness check.
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterable, Optional
 
-from .automata import Alphabet, Nfa, product_intersect
+from .automata import Alphabet, Dfa, Nfa, product_intersect
 from .errors import CapExceeded
 from .protocols import ProtocolAlphabet, ProtocolOracle, Word
 
@@ -350,6 +350,7 @@ def forward_reduce(x: str) -> Word:
 # -- path length sets over acyclic automata ------------------------------
 
 _NO_LENGTHS: frozenset = frozenset()
+_NO_ROW: dict = {}
 
 
 class LengthSets:
@@ -360,11 +361,11 @@ class LengthSets:
         self._table = table
 
     def get(self, s1: str, s2: str) -> frozenset:
-        return self._table.get((s1, s2), _NO_LENGTHS)
+        return self._table.get(s1, _NO_ROW).get(s2, _NO_LENGTHS)
 
     @property
     def max_length(self) -> int:
-        return max((max(v) for v in self._table.values() if v), default=0)
+        return max((max(v) for row in self._table.values() for v in row.values()), default=0)
 
 
 def _reject_eps(a: Nfa) -> None:
@@ -372,95 +373,92 @@ def _reject_eps(a: Nfa) -> None:
         raise ValueError("length analysis needs an epsilon-free automaton")
 
 
-def _topo_order(a: Nfa) -> list[str]:
+def _rows(a: Nfa) -> tuple[dict, dict]:
+    """Successor sets per state, and target sets per (state, letter)."""
     succ: dict[str, set] = {s: set() for s in a.states}
-    indeg = {s: 0 for s in a.states}
-    for src, _, dst in a.transitions:
-        if dst not in succ[src]:
-            succ[src].add(dst)
+    adj: dict[tuple[str, str], set] = {}
+    for src, sym, dst in a.transitions:
+        succ[src].add(dst)
+        adj.setdefault((src, sym), set()).add(dst)
+    return succ, adj
+
+
+def _kahn(states, succ: dict) -> list[str]:
+    """The states that no cycle reaches, in topological order.
+
+    `states` must be closed under succ.  The ready queue is kept sorted,
+    so the order does not depend on set iteration.
+    """
+    indeg = dict.fromkeys(states, 0)
+    for s in states:
+        for dst in succ[s]:
             indeg[dst] += 1
-    ready = deque(sorted(s for s in a.states if indeg[s] == 0))
+    ready = sorted(s for s, n in indeg.items() if n == 0)  # a sorted list is a heap
     order = []
     while ready:
-        s = ready.popleft()
+        s = heapq.heappop(ready)
         order.append(s)
-        for dst in sorted(succ[s]):
+        for dst in succ[s]:
             indeg[dst] -= 1
             if indeg[dst] == 0:
-                ready.append(dst)
-    if len(order) != len(a.states):
-        raise ValueError("length analysis needs an acyclic trimmed automaton")
+                heapq.heappush(ready, dst)
     return order
+
+
+def _length_table(succ: dict, order: list[str]) -> dict:
+    """table[s1][s2]: the lengths of the paths s1 -> s2 within `order`.
+
+    Backward induction over the topological order: the lengths from s1
+    are one more than the lengths from each one-step successor.
+    Successors outside the order lie behind a cycle and are skipped.
+    """
+    table: dict[str, dict] = {}
+    for s1 in reversed(order):
+        mine: dict[str, set] = {s1: {0}}
+        for dst in succ[s1]:
+            for s2, lens in table.get(dst, _NO_ROW).items():
+                mine.setdefault(s2, set()).update(n + 1 for n in lens)
+        table[s1] = {s2: frozenset(lens) for s2, lens in mine.items()}
+    return table
 
 
 def length_sets(a: Nfa) -> LengthSets:
     """Sets of path lengths s1 -> s2 in the trimmed automaton.
 
-    Backward induction over a topological order: the lengths from s1 are
-    one more than the lengths from each one-step successor. Cyclic input
-    (after trimming) is an error since the sets would be infinite.
+    Cyclic input (after trimming) is an error since the sets would be
+    infinite.
     """
     _reject_eps(a)
     core = a.trim()
-    order = _topo_order(core)
-    succ: dict[str, set] = {s: set() for s in core.states}
-    for src, _, dst in core.transitions:
-        succ[src].add(dst)
-    # per_state[s1][s2] accumulates the length set for the pair
-    per_state: dict[str, dict[str, set]] = {}
-    for s1 in reversed(order):
-        mine: dict[str, set] = {s1: {0}}
-        for dst in succ[s1]:
-            for s2, lens in per_state[dst].items():
-                mine.setdefault(s2, set()).update(n + 1 for n in lens)
-        per_state[s1] = mine
-    table = {
-        (s1, s2): frozenset(lens)
-        for s1, targets in per_state.items()
-        for s2, lens in targets.items()
-    }
-    return LengthSets(core.states, table)
+    succ, _ = _rows(core)
+    order = _kahn(core.states, succ)
+    if len(order) != len(core.states):
+        raise ValueError("length analysis needs an acyclic trimmed automaton")
+    return LengthSets(core.states, _length_table(succ, order))
 
 
 # -- lexicographic extremes of fixed-length path sets --------------------
 
 _KINDS = ("min0", "max0", "min1", "max1")
+_MIN = ("0", "1")
+_MAX = ("1", "0")
 
 
-def lex_extreme(a: Nfa, s: str, length: int, kind: str,
-                ls: Optional[LengthSets] = None) -> Optional[str]:
-    """Extreme word of one fixed-length path family, or None if empty.
-
-    Kinds ending in 0 range over words leading from the initial state to
-    s; kinds ending in 1 over words leading from s to an accepting state.
-    min/max refer to the lexicographic order on the equal-length words.
+def _extreme(adj: dict, table: dict, sources, targets, length: int,
+             prefer: tuple[str, str]) -> Optional[str]:
+    """Lexicographically first word of the given length, under the letter
+    preference, that leads from a source to a target; None if none does.
 
     Extends each prefix by the preferred letter as long as some carrier
     state can still finish with the remaining length budget.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    if not a.alphabet.same_symbols(BINARY):
-        raise ValueError("lexicographic extremes are defined over the binary alphabet")
-    if s not in a.states:
-        raise ValueError(f"state {s!r} not declared")
-    core = a.trim()
-    if ls is None:
-        ls = length_sets(core)
-    over_left = kind.endswith("0")
-    targets = {s} if over_left else set(core.accepting)
-    sources = {core.initial} if over_left else {s}
-
     def feasible(state: str, remaining: int) -> bool:
-        return any(remaining in ls.get(state, t) for t in targets)
+        row = table.get(state, _NO_ROW)
+        return any(remaining in row.get(t, _NO_LENGTHS) for t in targets)
 
-    current = {st for st in sources if st in core.states and feasible(st, length)}
+    current = {st for st in sources if feasible(st, length)}
     if not current:
         return None
-    adj: dict[tuple[str, str], set] = {}
-    for src, sym, dst in core.transitions:
-        adj.setdefault((src, sym), set()).add(dst)
-    prefer = ("0", "1") if kind.startswith("min") else ("1", "0")
     out = []
     for k in range(length):
         remaining = length - k - 1
@@ -475,65 +473,108 @@ def lex_extreme(a: Nfa, s: str, length: int, kind: str,
     return "".join(out)
 
 
+def lex_extreme(a: Nfa, s: str, length: int, kind: str,
+                ls: Optional[LengthSets] = None) -> Optional[str]:
+    """Extreme word of one fixed-length path family, or None if empty.
+
+    Kinds ending in 0 range over words leading from the initial state to
+    s; kinds ending in 1 over words leading from s to an accepting state.
+    min/max refer to the lexicographic order on the equal-length words.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if not a.alphabet.same_symbols(BINARY):
+        raise ValueError("lexicographic extremes are defined over the binary alphabet")
+    if s not in a.states:
+        raise ValueError(f"state {s!r} not declared")
+    core = a.trim()
+    if ls is None:
+        ls = length_sets(core)
+    over_left = kind.endswith("0")
+    sources = (core.initial,) if over_left else (s,)
+    targets = (s,) if over_left else tuple(core.accepting)
+    prefer = _MIN if kind.startswith("min") else _MAX
+    return _extreme(_rows(core)[1], ls._table, sources, targets, length, prefer)
+
+
 # -- transition sets through L and through its complement -----------------
 
 
 def _exclude_words(a: Nfa, words: Iterable[str]) -> Nfa:
     """Same language minus the listed words.
 
-    Product with the prefix trie of the word list, built over reachable
-    pairs only so a long excluded word does not blow up a thin automaton.
-    The trie component is the prefix read so far, or None once the read
-    word has left the prefix set for good.
+    Product with a DFA that follows the prefixes of the word list and
+    falls into a sink once the read word has left them; the product is
+    built over reachable pairs only, so a long excluded word does not
+    blow up a thin automaton.
     """
     _reject_eps(a)
-    words = frozenset(words)
-    prefixes = {w[:i] for w in words for i in range(len(w) + 1)}
-    prefixes.add("")
-
-    def name(st: str, p: Optional[str]) -> str:
-        return f"{st}@⊥" if p is None else f"{st}@{p}"
-
-    adj: dict[str, list] = {}
-    for src, sym, dst in a.transitions:
-        adj.setdefault(src, []).append((sym, dst))
-    start = (a.initial, "")
-    seen = {start}
-    queue = deque([start])
-    states = set()
-    transitions = set()
-    accepting = set()
-    while queue:
-        st, p = queue.popleft()
-        nm = name(st, p)
-        states.add(nm)
-        if st in a.accepting and (p is None or p not in words):
-            accepting.add(nm)
-        for sym, dst in adj.get(st, ()):
-            nxt = p + sym if p is not None else None
-            if nxt is not None and nxt not in prefixes:
-                nxt = None
-            transitions.add((nm, sym, name(dst, nxt)))
-            if (dst, nxt) not in seen:
-                seen.add((dst, nxt))
-                queue.append((dst, nxt))
-    return Nfa(states, a.alphabet, transitions, name(a.initial, ""), accepting)
+    words = set(words)
+    prefixes = {w[:i] for w in words for i in range(len(w) + 1)} | {""}
+    states = prefixes | {"⊥"}
+    avoid = Dfa(states, a.alphabet,
+                {(p, sym, p + sym if p + sym in prefixes else "⊥")
+                 for p in states for sym in a.alphabet},
+                "", states - words)
+    return product_intersect(a, avoid)
 
 
 def _marker_hits(sub: Nfa, word_lengths, w_list) -> tuple[bool, bool]:
     """Whether the automaton accepts a marker word graded in L, resp. out of L."""
-    hit_in = hit_out = False
-    for word, accepted in w_list:
-        if hit_in and hit_out:
+    hits = {accepted for word, accepted in w_list
+            if len(word) in word_lengths and sub.accepts(tuple(word))}
+    return True in hits, False in hits
+
+
+def _grade(adj: dict, table: dict, start: str, finals, mids,
+           want_l: bool, want_lbar: bool, member) -> tuple[bool, bool]:
+    """Whether some word start -> finals lies in L, resp. outside L.
+
+    Only the wanted sides are settled, and no accepted word may be a
+    marker word.  Odd words lie in L; even words split at a middle state
+    into halves u v, and the extreme halves show whether some u < v, or
+    whether u == v is forced, in which case the square shape of u decides
+    (the oracle is asked only then).
+    """
+    row = table[start]
+    need_l = want_l and not any(n % 2 for f in finals for n in row.get(f, _NO_LENGTHS))
+    need_lbar = want_lbar
+    for mid in mids:
+        if not (need_l or need_lbar):
             break
-        if len(word) not in word_lengths:
-            continue
-        if sub.accepts(tuple(word)):
-            if accepted:
-                hit_in = True
-            else:
-                hit_out = True
-    return hit_in, hit_out
+        right_lens = set().union(*(table[mid].get(f, _NO_LENGTHS) for f in finals))
+        for h in sorted(row.get(mid, _NO_LENGTHS) & right_lens):
+            if need_l:
+                lo = _extreme(adj, table, (start,), (mid,), h, _MIN)
+                hi = _extreme(adj, table, (mid,), finals, h, _MAX)
+                x = _beta11_decode(lo) if lo == hi else None
+                need_l = not (lo < hi or lo == hi and (x is None or member(x)))
+            if need_lbar:
+                lo = _extreme(adj, table, (mid,), finals, h, _MIN)
+                hi = _extreme(adj, table, (start,), (mid,), h, _MAX)
+                x = _beta11_decode(lo) if lo == hi else None
+                need_lbar = not (lo < hi or x is not None and not member(x))
+            if not (need_l or need_lbar):
+                break
+    return want_l and not need_l, want_lbar and not need_lbar
+
+
+def _grade_around_markers(a: Nfa, s: str, s2: str, lengths, w_list,
+                          member) -> tuple[bool, bool]:
+    """_grade for a target that can produce a listed marker word: probe the
+    connecting automaton for the markers, then grade it without them."""
+    sub = a.sub_automaton(s, s2).trim()
+    hit_in, hit_out = _marker_hits(sub, lengths, w_list)
+    if hit_in and hit_out:
+        return True, True
+    core = _exclude_words(sub, [w for w, _ in w_list]).trim()
+    if core.is_empty():
+        return hit_in, hit_out
+    succ, adj = _rows(core)
+    table = _length_table(succ, _kahn(core.states, succ))
+    got_l, got_lbar = _grade(adj, table, core.initial, tuple(core.accepting),
+                             sorted(core.states), not hit_in, not hit_out, member)
+    return hit_in or got_l, hit_out or got_lbar
 
 
 WSource = Callable[[int], list[tuple[str, bool]]]
@@ -544,11 +585,12 @@ def _delta_both(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None,
                 cache: Optional[WCache] = None) -> tuple[frozenset, frozenset]:
     """States reachable from s by a word in L, and by a word outside L.
 
-    Per target state: an infinite connecting language lands in both sets
-    outright; otherwise marker words are probed from the generated list,
-    then excluded, and the leftover is settled by parity and by the
-    extreme-word comparisons, with the oracle asked only when a repeated
-    half carries the square shape.
+    One pass over the states reachable from s: a target that some cycle
+    reaches has an infinite connecting language, which lands in both
+    sets outright.  The others share one length table and are graded on
+    it, unless a generated marker word has a length the target can
+    produce; only then is the connecting automaton built, probed for
+    marker words and graded with the markers excluded.
     """
     if s not in a.states:
         raise ValueError(f"state {s!r} not declared")
@@ -565,76 +607,26 @@ def _delta_both(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None,
             memo[x] = x_oracle.member(x)
         return memo[x]
 
-    in_l = set()
-    in_lbar = set()
-    for s2 in sorted(a.reachable(s)):
-        sub = a.sub_automaton(s, s2).trim()
-        if not sub.is_finite():
-            # every infinite regular language strays into a marker pair
+    succ, adj = _rows(a)
+    reach = a.reachable(s)
+    order = _kahn(reach, succ)
+    # every infinite regular language strays into a marker pair
+    in_l = reach - set(order)
+    in_lbar = set(in_l)
+    table = _length_table(succ, order)
+    ranked = sorted(order)
+    for s2 in ranked:
+        lengths = table[s][s2]
+        mids = [m for m in ranked if s2 in table[m]]
+        w_list = w_source(len(mids))
+        if any(len(w) in lengths for w, _ in w_list):
+            got_l, got_lbar = _grade_around_markers(a, s, s2, lengths, w_list, member)
+        else:
+            got_l, got_lbar = _grade(adj, table, s, (s2,), mids, True, True, member)
+        if got_l:
             in_l.add(s2)
+        if got_lbar:
             in_lbar.add(s2)
-            continue
-        need_l = True
-        need_lbar = True
-        ls = length_sets(sub)
-        word_lengths = set()
-        for f in sub.accepting:
-            word_lengths |= ls.get(sub.initial, f)
-        w_list = w_source(len(sub.states))
-        hit_in, hit_out = _marker_hits(sub, word_lengths, w_list)
-        if hit_in:
-            in_l.add(s2)
-            need_l = False
-        if hit_out:
-            in_lbar.add(s2)
-            need_lbar = False
-        if not (need_l or need_lbar):
-            continue
-        core = _exclude_words(sub, [w for w, _ in w_list]).trim()
-        if core.is_empty():
-            continue
-        ls2 = length_sets(core)
-        lengths_left = set()
-        for f in core.accepting:
-            lengths_left |= ls2.get(core.initial, f)
-        if need_l and any(n % 2 for n in lengths_left):
-            in_l.add(s2)
-            need_l = False
-        if not (need_l or need_lbar):
-            continue
-        # even leftovers split at the middle; compare the half families
-        for mid in core.states:
-            if not (need_l or need_lbar):
-                break
-            left_lens = ls2.get(core.initial, mid)
-            right_lens = set()
-            for f in core.accepting:
-                right_lens |= ls2.get(mid, f)
-            for h in sorted(left_lens & set(right_lens)):
-                if need_l:
-                    mn0 = lex_extreme(core, mid, h, "min0", ls=ls2)
-                    mx1 = lex_extreme(core, mid, h, "max1", ls=ls2)
-                    if mn0 < mx1:
-                        in_l.add(s2)
-                        need_l = False
-                    elif mn0 == mx1:
-                        x = _beta11_decode(mn0)
-                        if x is None or member(x):
-                            in_l.add(s2)
-                            need_l = False
-                if need_lbar:
-                    mn1 = lex_extreme(core, mid, h, "min1", ls=ls2)
-                    mx0 = lex_extreme(core, mid, h, "max0", ls=ls2)
-                    if mn1 < mx0:
-                        in_lbar.add(s2)
-                        need_lbar = False
-                    elif mn1 == mx0:
-                        x = _beta11_decode(mn1)
-                        if x is not None and not member(x):
-                            in_lbar.add(s2)
-                            need_lbar = False
-                if not (need_l or need_lbar):
-                    break
     return frozenset(in_l), frozenset(in_lbar)
 
 

@@ -5,9 +5,14 @@ test.  Fixture files live in tmp_path so every test owns its inputs.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adskit
 from adskit.cli import main
 from adskit.formats import load_ads, load_automaton, load_fst
 from adskit.automata import Dfa
@@ -116,6 +121,100 @@ trans v1 # v2
 trans v2 + v3
 """
 
+# 16-state graded DAG whose oracle-call count depends on the order in
+# which the transition sets visit middle states
+SEEDED_DAG_NFA = """\
+type nfa
+alphabet 0 1 # + - r
+states v0 v1 v10 v11 v12 v13 v14 v15 v2 v3 v4 v5 v6 v7 v8 v9
+initial v0
+accept v15 v3 v5
+trans v0 0 v2
+trans v0 1 v2
+trans v1 0 v4
+trans v1 1 v4
+trans v10 0 v12
+trans v10 1 v11
+trans v11 0 v14
+trans v11 1 v13
+trans v12 0 v15
+trans v12 1 v15
+trans v13 1 v14
+trans v13 r v14
+trans v14 0 v15
+trans v14 r v15
+trans v2 0 v4
+trans v3 1 v5
+trans v4 0 v6
+trans v4 1 v5
+trans v5 1 v6
+trans v5 1 v7
+trans v6 0 v7
+trans v6 0 v8
+trans v7 0 v10
+trans v7 1 v9
+trans v8 1 v11
+trans v8 1 v9
+trans v9 1 v12
+"""
+
+# 32-state bracket automaton with more than one shortest prefix-mode witness
+SEEDED_BRACKET_NFA = """\
+type nfa
+alphabet push( push[ pop ( ) [ ]
+states b0 b1 b2 b3 b4 b5 b6 b7 m0.0 m0.1 m0.2 m1.0 m1.1 m1.2 m2.0 m2.1 m2.2 m3.0 m3.1 m3.2 m4.0 m4.1 m4.2 m5.0 m5.1 m5.2 m6.0 m6.1 m6.2 m7.0 m7.1 m7.2
+initial b0
+accept b2 b6
+trans b0 pop m0.0
+trans b0 push[ m0.1
+trans b0 push[ m0.2
+trans b1 pop m1.0
+trans b1 push[ m1.1
+trans b1 push[ m1.2
+trans b2 pop m2.0
+trans b2 pop m2.1
+trans b2 push( m2.2
+trans b3 pop m3.2
+trans b3 push( m3.0
+trans b3 push[ m3.1
+trans b4 pop m4.1
+trans b4 push( m4.0
+trans b4 push[ m4.2
+trans b5 pop m5.0
+trans b5 pop m5.1
+trans b5 push( m5.2
+trans b6 pop m6.0
+trans b6 pop m6.1
+trans b6 push( m6.2
+trans b7 pop m7.0
+trans b7 pop m7.1
+trans b7 push( m7.2
+trans m0.0 ) b1
+trans m0.1 [ b3
+trans m0.2 [ b7
+trans m1.0 ] b2
+trans m1.1 [ b4
+trans m1.2 [ b0
+trans m2.0 ) b3
+trans m2.1 ) b5
+trans m2.2 ( b1
+trans m3.0 ( b4
+trans m3.1 [ b6
+trans m3.2 ) b2
+trans m4.0 ( b5
+trans m4.1 ) b7
+trans m4.2 [ b3
+trans m5.0 ] b6
+trans m5.1 ] b0
+trans m5.2 ( b4
+trans m6.0 ] b7
+trans m6.1 ] b1
+trans m6.2 ( b5
+trans m7.0 ] b0
+trans m7.1 ) b2
+trans m7.2 ( b6
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -177,6 +276,18 @@ class TestExitCodes:
         assert code == 65
         assert "line 6" in err
 
+    def test_logtm_bounds_needs_oracle(self, capsys, files):
+        code, _, err = run(capsys, "logtm", "run", files["even.tm"], "a,b",
+                           "--bounds", "max-configs=1")
+        assert code == 64 and "--bounds" in err
+
+    def test_logtm_step_cap_needs_advice_run(self, capsys, files):
+        code, _, err = run(capsys, "logtm", "run", files["even.tm"], "a,b",
+                           "--oracle", "set", "--step-cap", "1")
+        assert code == 64 and "--step-cap" in err
+        assert run(capsys, "logtm", "run", files["even.tm"], "a,b",
+                   "--step-cap", "1")[0] == 2
+
     def test_bad_bounds_is_usage_error(self, capsys, files):
         assert run(capsys, "ads", "simulate", files["ins.ads"], "a",
                    "--oracle", "set", "--bounds", "max-configs=x")[0] == 64
@@ -192,6 +303,25 @@ class TestReports:
         fuzz2 = run(capsys, "protocol", "fuzz", "--oracle", "dyck",
                     "--axiom", "ii", "--trials", "200", "--seed", "5")
         assert fuzz1 == fuzz2
+
+    def test_reports_ignore_hash_seed(self, tmp_path):
+        (tmp_path / "dag.nfa").write_text(SEEDED_DAG_NFA)
+        (tmp_path / "x.members").write_text("000\n001\n1\n100\n110\n")
+        (tmp_path / "bracket.nfa").write_text(SEEDED_BRACKET_NFA)
+        commands = [
+            ["universality", "decide", "dag.nfa", "--oracle-file", "x.members"],
+            ["nrr", "decide", "bracket.nfa", "--filter", "dyck"],
+        ]
+        src = str(Path(adskit.__file__).resolve().parent.parent)
+        for argv in commands:
+            runs = []
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                done = subprocess.run([sys.executable, "-m", "adskit.cli", *argv],
+                                      cwd=tmp_path, env=env, capture_output=True,
+                                      text=True)
+                runs.append((done.returncode, done.stdout))
+            assert runs[0] == runs[1], argv
 
     def test_jsonl_mirrors_text(self, capsys, files):
         _, text, _ = run(capsys, "universality", "decide", files["uni.nfa"],

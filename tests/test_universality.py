@@ -28,7 +28,7 @@ from adskit.universality import (
 from adskit.universality import _delta_both, _exclude_words, _marker_hits
 from adskit.verdict import Verdict
 
-from genrand import random_dag_nfa
+from genrand import BIN, random_dag_nfa, random_nfa
 from oracles import ref_graded_member, ref_marker_family
 
 FLAT = PROT_X.flattened()
@@ -401,6 +401,31 @@ class TestDeltas:
                         want_lbar.add(s2)
             assert got_l == want_l
             assert got_lbar == want_lbar
+
+    def test_matches_brute_force_cyclic(self):
+        rng = random.Random(17)
+        pool = ["0", "1", "00", "01", "10", "11", ""]
+        for _ in range(200):
+            a = random_nfa(rng, alphabet=BIN, max_states=6, eps_prob=0)
+            members = set(rng.sample(pool, 3))
+            for s in sorted(a.states):
+                got_l, got_lbar = _delta_both(a, s, OracleX(members))
+                want_l, want_lbar = set(), set()
+                for s2 in a.states:
+                    sub = a.sub_automaton(s, s2).trim()
+                    if sub.is_empty():
+                        continue
+                    if not sub.is_finite():
+                        want_l.add(s2)
+                        want_lbar.add(s2)
+                        continue
+                    for w in sub.enumerate_words(len(a.states)):
+                        if l_membership("".join(w), OracleX(members)):
+                            want_l.add(s2)
+                        else:
+                            want_lbar.add(s2)
+                assert got_l == want_l
+                assert got_lbar == want_lbar
 
     def test_marker_probe_hook(self):
         # one accepted word "10"; an injected marker list flips its grade
