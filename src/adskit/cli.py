@@ -114,6 +114,16 @@ def _oracle(arg: str):
     return oracle
 
 
+def _count(low: int):
+    """argparse type: an integer that must be at least low."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def _bounds(text: Optional[str]) -> SearchBounds:
     if text is None:
         return DEFAULT_BOUNDS
@@ -340,6 +350,8 @@ def _cmd_nrr_filter_transfer(ns) -> int:
 def _cmd_logtm_run(ns) -> int:
     if ns.oracle is not None and ns.step_cap is not None:
         raise UsageError("--step-cap applies to advice runs only, not with --oracle")
+    if ns.oracle is not None and ns.advice is not None:
+        raise UsageError("--advice applies to advice runs only, not with --oracle")
     if ns.oracle is None and ns.bounds is not None:
         raise UsageError("--bounds applies to oracle runs only; it needs --oracle")
     tm = load_tm(_read(ns.file))
@@ -441,7 +453,7 @@ def _build_parser() -> _Parser:
     p = fst.add_parser("apply")
     p.add_argument("file")
     p.add_argument("word", nargs="*")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_count(0), default=64)
     _add_common(p)
     p.set_defaults(fn=_cmd_fst_apply)
     p = fst.add_parser("compose")
@@ -475,8 +487,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--oracle", required=True)
     p.add_argument("--axiom", required=True,
                    choices=("i", "ii", "iii", "iv", "v", "vi"))
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-len", type=int, default=50)
+    p.add_argument("--trials", type=_count(0), default=1000)
+    p.add_argument("--max-len", type=_count(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=_cmd_protocol_fuzz)
@@ -544,7 +556,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--advice")
     p.add_argument("--oracle")
     p.add_argument("--bounds")
-    p.add_argument("--step-cap", type=int)
+    p.add_argument("--step-cap", type=_count(1))
     _add_common(p)
     p.set_defaults(fn=_cmd_logtm_run)
     p = logtm.add_parser("surface-nfa")

@@ -7,7 +7,8 @@ before being returned.  The reduction constructions translate between
 ADS-automaton problems and these instances.
 """
 
-from collections import deque
+import heapq
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -156,85 +157,71 @@ def _pair_edges(a: Nfa, first: str, second: str) -> list:
 
 
 def nreg_dyck(a: Nfa, exact_d2: bool = False) -> NrrAnswer:
-    """Complete decider for the bracket filter via pair saturation.
+    """Complete decider for the bracket filter by worklist CFL reachability.
 
-    B holds state pairs bridged by a balanced block sequence, closed
-    under concatenation and wrapping in a matching push/pop block pair.
-    Prefix mode additionally lets unmatched pushes accumulate on the
-    right.  Saturation always terminates, so the verdict is never
-    Unknown; witnesses are the derivation words.
+    B(p, q) holds when a balanced block sequence leads from p to q:
+    B -> ε | B B | push_γ B pop_γ.  Prefix mode adds R(q), reached from
+    the initial state: R -> ε | R B | R push_γ.  One heap settles each
+    item once, in (len(w), w) order (Knuth's generalisation of Dijkstra),
+    and joins combine settled items only, indexed by endpoint.  The first
+    settled B (exact) or R (prefix) from the initial to an accepting state
+    is returned, so the witness is the least word under (len(w), w) and
+    the verdict is never Unknown.
     """
     dyck = DyckOracle(exact_d2)
     if not a.alphabet.same_symbols(dyck.alphabet.flattened()):
         raise ValueError("automaton alphabet must match the bracket protocol alphabet")
 
-    push = {
-        "(": _pair_edges(a, "push(", "("),
-        "[": _pair_edges(a, "push[", "["),
-    }
-    pop = {
-        "(": _pair_edges(a, "pop", ")"),
-        "[": _pair_edges(a, "pop", "]"),
-    }
-    tokens = {
-        "push(": ("push(", "("),
-        "push[": ("push[", "["),
-        "pop)": ("pop", ")"),
-        "pop]": ("pop", "]"),
-    }
-    pop_tokens = {"(": tokens["pop)"], "[": tokens["pop]"]}
-    push_tokens = {"(": tokens["push("], "[": tokens["push["]}
+    blocks = {"(": (("push(", "("), ("pop", ")")), "[": (("push[", "["), ("pop", "]"))}
+    opened_into, closed_from, pushes = defaultdict(list), defaultdict(list), defaultdict(list)
+    for gamma, (opener, closer) in blocks.items():
+        for p, q in _pair_edges(a, *opener):
+            opened_into[q, gamma].append(p)
+            pushes[p].append((q, opener))
+        for p, q in _pair_edges(a, *closer):
+            closed_from[p, gamma].append(q)
 
-    balanced = {}
+    heap, best = [], {}
+    starting, ending, reached = defaultdict(list), defaultdict(list), {}
+
+    def offer(kind, p, q, word):
+        key = (len(word), word)
+        if (kind, p, q) not in best or key < best[kind, p, q]:
+            best[kind, p, q] = key
+            heapq.heappush(heap, (*key, kind, p, q))
+
     for p in sorted(a.states):
         for q in sorted(a.eps_closure([p])):
-            balanced[(p, q)] = ()
-
-    def add(store, p, q, word):
-        if (p, q) not in store or len(word) < len(store[(p, q)]):
-            store[(p, q)] = word
-            return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        pairs = list(balanced.items())
-        for (p, r), w1 in pairs:
-            for (r2, q), w2 in pairs:
-                if r == r2 and add(balanced, p, q, w1 + w2):
-                    changed = True
-        for gamma in ("(", "["):
-            for p, p1 in push[gamma]:
-                for (b1, b2), w in list(balanced.items()):
-                    if b1 != p1:
-                        continue
-                    for q1, q in pop[gamma]:
-                        if q1 != b2:
-                            continue
-                        word = push_tokens[gamma] + w + pop_tokens[gamma]
-                        if add(balanced, p, q, word):
-                            changed = True
-
-    reach = dict(balanced)
+            offer("B", p, q, ())
     if not exact_d2:
-        changed = True
-        while changed:
-            changed = False
-            for (p, q), w in list(reach.items()):
-                for gamma in ("(", "["):
-                    for q1, q2 in push[gamma]:
-                        if q1 != q:
-                            continue
-                        opened = w + push_tokens[gamma]
-                        for (b1, b2), wb in list(balanced.items()):
-                            if b1 == q2 and add(reach, p, b2, opened + wb):
-                                changed = True
-
-    candidates = [w for (p, q), w in reach.items() if p == a.initial and q in a.accepting]
-    if candidates:
-        witness = min(candidates, key=lambda w: (len(w), w))
-        return _validated(NrrInstance(a, dyck), witness)
+        offer("R", a.initial, a.initial, ())
+    goal = "B" if exact_d2 else "R"
+    while heap:
+        n, w, kind, p, q = heapq.heappop(heap)
+        # a smaller offer made this entry stale; joins never shrink a word
+        if best[kind, p, q] != (n, w):
+            continue
+        if kind == goal and p == a.initial and q in a.accepting:
+            return _validated(NrrInstance(a, dyck), w)
+        if kind == "R":
+            reached[q] = w
+            for s, w1 in starting[q]:
+                offer("R", p, s, w + w1)
+            for s, opener in pushes[q]:
+                offer("R", p, s, w + opener)
+            continue
+        starting[p].append((q, w))
+        ending[q].append((p, w))
+        for r, w0 in ending[p]:
+            offer("B", r, q, w0 + w)
+        for s, w1 in starting[q]:
+            offer("B", p, s, w + w1)
+        if p in reached:
+            offer("R", a.initial, q, reached[p] + w)
+        for gamma, (opener, closer) in blocks.items():
+            for p0 in opened_into[p, gamma]:
+                for q1 in closed_from[q, gamma]:
+                    offer("B", p0, q1, opener + w + closer)
     return NrrAnswer(Verdict.REJECT)
 
 

@@ -288,6 +288,23 @@ class TestExitCodes:
         assert run(capsys, "logtm", "run", files["even.tm"], "a,b",
                    "--step-cap", "1")[0] == 2
 
+    def test_logtm_advice_needs_advice_run(self, capsys, files):
+        code, out, err = run(capsys, "logtm", "run", files["even.tm"], "a,b",
+                             "--oracle", "set", "--advice", "zz")
+        assert code == 64 and "--advice" in err and out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["logtm", "run", "even.tm", "a,b", "--step-cap", "0"], "--step-cap"),
+        (["fst", "apply", "dup.fst", "--cap", "-1"], "--cap"),
+        (["protocol", "fuzz", "--oracle", "set", "--axiom", "v",
+          "--trials", "-5"], "--trials"),
+        (["protocol", "fuzz", "--oracle", "set", "--axiom", "v",
+          "--max-len", "-1"], "--max-len"),
+    ], ids=["step-cap", "cap", "trials", "max-len"])
+    def test_count_below_range_is_usage_error(self, capsys, files, argv, flag):
+        code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 64 and flag in err and out == ""
+
     def test_bad_bounds_is_usage_error(self, capsys, files):
         assert run(capsys, "ads", "simulate", files["ins.ads"], "a",
                    "--oracle", "set", "--bounds", "max-configs=x")[0] == 64

@@ -32,11 +32,28 @@ from adskit.transducers import identity_fst
 from adskit.verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
 
 from genrand import AB, random_ads, random_nfa
+from oracles import brute_words
 
 SET = SetOracle()
 SET_ALPHA = SET.alphabet.flattened()
 DYCK = DyckOracle()
 DYCK_ALPHA = DYCK.alphabet.flattened()
+
+# a 12-state block-structured bracket automaton: three base states, each
+# block edge through its own midpoint; several shortest witnesses exist
+BLOCK_BRACKET_NFA = Nfa(
+    ["b0", "b1", "b2", "m0.0", "m0.1", "m0.2", "m1.0", "m1.1", "m1.2",
+     "m2.0", "m2.1", "m2.2"],
+    DYCK_ALPHA,
+    {("b0", "pop", "m0.0"), ("b0", "pop", "m0.1"), ("b0", "push[", "m0.2"),
+     ("b1", "pop", "m1.0"), ("b1", "push(", "m1.1"), ("b1", "push[", "m1.2"),
+     ("b2", "pop", "m2.2"), ("b2", "push(", "m2.0"), ("b2", "push(", "m2.1"),
+     ("m0.0", "]", "b1"), ("m0.1", "]", "b0"), ("m0.2", "[", "b1"),
+     ("m1.0", ")", "b2"), ("m1.1", "(", "b1"), ("m1.2", "[", "b2"),
+     ("m2.0", "(", "b0"), ("m2.1", "(", "b2"), ("m2.2", ")", "b0")},
+    "b0",
+    {"b1", "b2"},
+)
 
 
 def words_over(alphabet, max_len):
@@ -185,6 +202,29 @@ class TestDyckDecider:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="alphabet"):
             nreg_dyck(universal_nfa(AB))
+
+    def test_witness_is_least_under_length_then_tokens(self):
+        answer = nreg_dyck(BLOCK_BRACKET_NFA, exact_d2=True)
+        assert answer.witness == ("push[", "[", "push(", "(", "pop", ")",
+                                  "push(", "(", "pop", ")", "pop", "]")
+
+    def test_witness_is_first_member_by_brute_force(self):
+        rng = random.Random(403)
+        nonempty = rejected = 0
+        for _ in range(250):
+            a = random_nfa(rng, alphabet=DYCK_ALPHA, max_states=4, density=8.0,
+                           accept_prob=0.3)
+            words = sorted(brute_words(a, 4), key=lambda w: (len(w), w))
+            for exact in (False, True):
+                members = [w for w in words if membership(DyckOracle(exact), w)]
+                answer = nreg_dyck(a, exact_d2=exact)
+                if answer.verdict is Verdict.REJECT:
+                    assert members == []
+                    rejected += 1
+                elif len(answer.witness) <= 4:
+                    assert answer.witness == members[0]
+                    nonempty += len(answer.witness) > 0
+        assert nonempty > 15 and rejected > 200
 
     def test_agrees_with_generic_and_never_unknown(self):
         rng = random.Random(402)
