@@ -9,13 +9,12 @@ accepting state, an empty tape, and an accepting oracle state.
 """
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .automata import Alphabet, Word
 from .protocols import ProtocolAlphabet, ProtocolOracle
 from .transducers import Fst
-from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search
+from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search, explore
 
 # reserved input tokens for the left and right endmarkers
 LM = "lm"
@@ -257,21 +256,12 @@ def compose_with_fst(m: AdsAutomaton, t: Fst) -> AdsAutomaton:
     wname = lambda ms, ts, buf: f"({ms}|{ts}|{'.'.join(buf)})"
     qname = lambda ms, ts, buf: f"({ms}|{ts}|{'.'.join(buf)}|q)"
     initial = (m.initial, t.initial, ())
-    todo = deque([initial])
-    seen = {initial}
-    wstates, qstates = set(), set()
+    qstates = set()
     wmoves, qmoves = set(), set()
 
-    def visit(cfg):
-        if cfg not in seen:
-            seen.add(cfg)
-            todo.append(cfg)
-
-    while todo:
-        cfg = todo.popleft()
+    def successors(cfg):
         ms, ts, buf = cfg
         src = wname(ms, ts, buf)
-        wstates.add(src)
         t_allowed = buf == () and (not strict or
                                    (ms in m.write_states and
                                     not any(inp is None for _, inp, _, _ in
@@ -279,22 +269,25 @@ def compose_with_fst(m: AdsAutomaton, t: Fst) -> AdsAutomaton:
         if t_allowed:
             for sym, out, tdst in t._out.get(ts, ()):
                 wmoves.add((src, sym, (), wname(ms, tdst, out)))
-                visit((ms, tdst, out))
+                yield ms, tdst, out
         for _, inp, write, mdst in m.write_moves_from(ms):
             if inp is None:
                 wmoves.add((src, None, write, wname(mdst, ts, buf)))
-                visit((mdst, ts, buf))
+                yield mdst, ts, buf
             elif buf and inp == buf[0]:
                 wmoves.add((src, None, write, wname(mdst, ts, buf[1:])))
-                visit((mdst, ts, buf[1:]))
+                yield mdst, ts, buf[1:]
         if m.query_moves_from(ms):
             hop = qname(ms, ts, buf)
             qstates.add(hop)
             wmoves.add((src, None, (), hop))
             for _, q, r, mdst in m.query_moves_from(ms):
                 qmoves.add((hop, q, r, wname(mdst, ts, buf)))
-                visit((mdst, ts, buf))
-    accepting = {wname(ms, ts, ()) for ms, ts, buf in seen
+                yield mdst, ts, buf
+
+    configs, _ = explore([initial], successors)
+    wstates = {wname(*cfg) for cfg in configs}
+    accepting = {wname(ms, ts, ()) for ms, ts, buf in configs
                  if buf == () and ms in m.accepting and ts in t.accepting}
     return AdsAutomaton(wstates, qstates, t.input_alphabet, m.protocol,
                         wmoves, qmoves, wname(*initial), accepting)

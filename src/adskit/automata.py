@@ -7,10 +7,11 @@ the internal epsilon label None.
 """
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from typing import Iterable, Optional
 
 from .errors import CapExceeded
+from .verdict import explore
 
 EPSILON_TOKEN = "eps"
 DEFAULT_ENUM_CAP = 10**6
@@ -156,15 +157,7 @@ class Nfa:
 
     def reachable(self, state: str) -> set:
         """States reachable from state along transitions of any label."""
-        seen = {state}
-        queue = deque(seen)
-        while queue:
-            s = queue.popleft()
-            for _, dst in self._out.get(s, ()):
-                if dst not in seen:
-                    seen.add(dst)
-                    queue.append(dst)
-        return seen
+        return set(explore([state], lambda s: [d for _, d in self._out.get(s, ())])[0])
 
     def trim(self) -> "Nfa":
         """Restrict to states both reachable and co-reachable.
@@ -177,15 +170,7 @@ class Nfa:
         into = {}
         for src, _, dst in self.transitions:
             into.setdefault(dst, set()).add(src)
-        backward = set(self.accepting)
-        queue = deque(backward)
-        while queue:
-            s = queue.popleft()
-            for src in into.get(s, ()):
-                if src not in backward:
-                    backward.add(src)
-                    queue.append(src)
-        keep = forward & backward
+        keep = forward.intersection(explore(self.accepting, lambda s: into.get(s, ()))[0])
         if self.initial not in keep:
             return canonical_empty(self.alphabet)
         if keep == self.states and type(self) is Nfa:
@@ -206,28 +191,8 @@ class Nfa:
         core = self.eliminate_eps().trim()
         # every state of a trimmed automaton lies on an accepting path, so
         # any cycle pumps the language
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {s: WHITE for s in core.states}
-        for root in core.states:
-            if color[root] != WHITE:
-                continue
-            stack = [(root, iter([d for _, d in core._out.get(root, ())]))]
-            color[root] = GRAY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for dst in it:
-                    if color[dst] == GRAY:
-                        return False
-                    if color[dst] == WHITE:
-                        color[dst] = GRAY
-                        stack.append((dst, iter([d for _, d in core._out.get(dst, ())])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return True
+        succ = {s: {d for _, d in core._out.get(s, ())} for s in core.states}
+        return len(_kahn(core.states, succ)) == len(core.states)
 
     def enumerate_words(self, max_len: int, cap: int = DEFAULT_ENUM_CAP) -> list[Word]:
         """All accepted words of length <= max_len, shortest first, then
@@ -359,11 +324,10 @@ def pair_product(left, right, start, accepting):
     def name(p, q):
         return f"({p}|{q})"
 
-    seen = {start}
-    todo = deque(seen)
     moves = []
-    while todo:
-        p, q = todo.popleft()
+
+    def successors(pair):
+        p, q = pair
         row = right.get(q, ())
         steps = []
         for label, letter, p2 in left.get(p, ()):
@@ -379,13 +343,35 @@ def pair_product(left, right, start, accepting):
         src = name(p, q)
         for label, out, target in steps:
             moves.append((src, label, out, name(*target)))
-            if target not in seen:
-                seen.add(target)
-                todo.append(target)
+        return [target for _, _, target in steps]
+
+    pairs, _ = explore([start], successors)
     left_acc, right_acc = accepting
-    names = {name(p, q) for p, q in seen}
-    final = {name(p, q) for p, q in seen if p in left_acc and q in right_acc}
+    names = {name(p, q) for p, q in pairs}
+    final = {name(p, q) for p, q in pairs if p in left_acc and q in right_acc}
     return names, moves, name(*start), final
+
+
+def _kahn(states, succ: dict) -> list[str]:
+    """The states that no cycle reaches, in topological order.
+
+    `states` must be closed under succ.  The ready queue is kept sorted,
+    so the order does not depend on set iteration.
+    """
+    indeg = dict.fromkeys(states, 0)
+    for s in states:
+        for dst in succ[s]:
+            indeg[dst] += 1
+    ready = sorted(s for s, n in indeg.items() if n == 0)  # a sorted list is a heap
+    order = []
+    while ready:
+        s = heapq.heappop(ready)
+        order.append(s)
+        for dst in succ[s]:
+            indeg[dst] -= 1
+            if indeg[dst] == 0:
+                heapq.heappush(ready, dst)
+    return order
 
 
 def reading_rows(a: Nfa) -> dict:

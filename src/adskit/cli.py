@@ -315,6 +315,9 @@ def _cmd_ads_recode(ns) -> int:
 
 def _cmd_nrr_decide(ns) -> int:
     filt = _filter(ns.filter)
+    if isinstance(filt, DyckOracle) and ns.bounds is not None:
+        raise UsageError("--bounds applies to searched filters only; "
+                         "the dyck filters are decided without bounds")
     a = load_automaton(_read(ns.file))
     instance = nrr_mod.NrrInstance(a, filt)
     answer = nrr_mod.decide(instance, bounds=_bounds(ns.bounds))

@@ -8,7 +8,6 @@ configurations (control state, work tape, heads) of a fixed input are
 finitely many, which is what the NFA construction exploits.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -16,7 +15,7 @@ from .ads import LM, RM
 from .automata import Alphabet, Dfa, Nfa, Word
 from .errors import CapExceeded
 from .protocols import ProtocolOracle
-from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search
+from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search, explore
 
 BLANK = "_"
 LAMBDA = "Λ"
@@ -207,19 +206,14 @@ def surface_config_nfa(tm: LogTm, x: Word, state_cap: int = 20_000) -> Nfa:
     blanks = (BLANK,) * tm.work_size
 
     start = SurfaceConfig(tm.initial, blanks, 0, 0)
-    names = {start: start.name()}
-    transitions = set()
-    accepting = set()
-    queue = deque([start])
-    while queue:
-        cfg = queue.popleft()
-        name = names[cfg]
+    moves = []
+
+    def successors(cfg):
         if cfg.q in tm.accepting:
-            accepting.add(name)
-            transitions.add((name, LAMBDA, name))
-            continue
+            moves.append((cfg, LAMBDA, cfg))
+            return
         if cfg.q in tm.rejecting:
-            continue
+            return
         for rule in tm._rules_from.get(cfg.q, ()):
             if rule.in_sym != tape[cfg.i] or rule.work_sym != cfg.tape[cfg.head]:
                 continue
@@ -229,14 +223,16 @@ def surface_config_nfa(tm: LogTm, x: Word, state_cap: int = 20_000) -> Nfa:
             ni, nh = moved
             nwork = cfg.tape[:cfg.head] + (rule.work_write,) + cfg.tape[cfg.head + 1:]
             nxt = SurfaceConfig(rule.dst, nwork, nh, ni)
-            if nxt not in names:
-                if len(names) >= state_cap:
-                    raise CapExceeded("surface configuration cap exceeded")
-                names[nxt] = nxt.name()
-                queue.append(nxt)
-            label = rule.advice if rule.consume else None
-            transitions.add((name, label, names[nxt]))
-    return Nfa(set(names.values()), alphabet, transitions, names[start], accepting)
+            moves.append((cfg, rule.advice if rule.consume else None, nxt))
+            yield nxt
+
+    configs, truncated = explore([start], successors, max_nodes=state_cap)
+    if truncated:
+        raise CapExceeded("surface configuration cap exceeded")
+    names = {cfg: cfg.name() for cfg in configs}
+    return Nfa(set(names.values()), alphabet,
+               {(names[src], label, names[dst]) for src, label, dst in moves},
+               names[start], {names[cfg] for cfg in configs if cfg.q in tm.accepting})
 
 
 def padding_flagged(a: Dfa, lam: str) -> Dfa:

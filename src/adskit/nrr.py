@@ -8,7 +8,7 @@ ADS-automaton problems and these instances.
 """
 
 import heapq
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -23,7 +23,7 @@ from .protocols import (
     sigma_k,
 )
 from .transducers import Fst, id_on, image_nfa, preimage_nfa
-from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search
+from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search, explore
 
 
 class PerKFilter:
@@ -334,52 +334,31 @@ def membership_to_reg(m: AdsAutomaton, w: Word) -> Dfa:
                 return "write", accept, (x, dst, ni)
             state, i = dst, ni
 
-    names = {}
-    states = set()
-    transitions = set()
-    accepting = set()
+    # (source key, suffixes naming the states in between, tokens, target key)
+    moves, accepting = [], []
 
-    def entry(state, i):
-        key = (state, i)
-        if key not in names:
-            names[key] = f"e{len(names)}"
-            todo.append(key)
-        return names[key]
-
-    todo = deque()
-    start = entry(m.initial, 0)
-    while todo:
-        state, i = todo.popleft()
-        node = names[(state, i)]
-        if node in states:
-            continue
-        states.add(node)
-        kind, accept, data = chase(state, i)
+    def successors(key):
+        kind, accept, data = chase(*key)
         if accept:
-            accepting.add(node)
-        if kind == "dead":
-            continue
+            accepting.append(key)
         if kind == "write":
             x, dst, ni = data
-            cur = node
-            for j, tok in enumerate(x):
-                last = j == len(x) - 1
-                nxt = entry(dst, ni) if last else f"{node}.w{j + 1}"
-                if not last:
-                    states.add(nxt)
-                transitions.add((cur, tok, nxt))
-                cur = nxt
-            continue
-        qstate, qi = data
-        qmoves = m.query_moves_from(qstate)
-        q = qmoves[0][1]
-        mid = f"{node}.q"
-        states.add(mid)
-        transitions.add((node, q, mid))
-        for _, _, r, dst in qmoves:
-            transitions.add((mid, r, entry(dst, qi)))
+            moves.append((key, [f".w{j}" for j in range(1, len(x))], x, (dst, ni)))
+            yield dst, ni
+        elif kind == "query":
+            qstate, qi = data
+            for _, q, r, dst in m.query_moves_from(qstate):
+                moves.append((key, [".q"], (q, r), (dst, qi)))
+                yield dst, qi
 
-    return Dfa(states, alphabet, transitions, start, accepting)
+    keys, _ = explore([(m.initial, 0)], successors)
+    names = {key: f"e{n}" for n, key in enumerate(keys)}
+    states, transitions = set(names.values()), set()
+    for key, between, tokens, dst in moves:
+        path = [names[key], *(names[key] + suffix for suffix in between), names[dst]]
+        states.update(path)
+        transitions.update(zip(path, tokens, path[1:]))
+    return Dfa(states, alphabet, transitions, "e0", {names[key] for key in accepting})
 
 
 def filter_transfer(a: Nfa, t: Fst) -> Nfa:

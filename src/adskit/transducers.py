@@ -6,11 +6,11 @@ states when they need letter granularity.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .automata import Alphabet, Nfa, Word, pair_product, reading_rows
+from .verdict import PRUNED, explore
 
 
 class Fst:
@@ -74,14 +74,11 @@ class Fst:
         for sym in word:
             if sym not in self.input_alphabet:
                 raise ValueError(f"input symbol {sym!r} not declared")
-        found = set()
-        truncated = False
-        seen = {(self.initial, 0, ())}
-        queue = deque(seen)
-        while queue:
-            state, pos, out = queue.popleft()
-            if pos == len(word) and state in self.accepting:
-                found.add(out)
+
+        def successors(node):
+            # a list, not a generator: the walk at the cap cliff is faster
+            state, pos, out = node
+            moves = []
             for sym, emitted, dst in self._out.get(state, ()):
                 if sym is None:
                     nxt_pos = pos
@@ -90,14 +87,13 @@ class Fst:
                 else:
                     continue
                 nxt_out = out + emitted
-                if len(nxt_out) > output_cap:
-                    truncated = True
-                    continue
-                node = (dst, nxt_pos, nxt_out)
-                if node not in seen:
-                    seen.add(node)
-                    queue.append(node)
-        return ApplyResult(frozenset(found), truncated)
+                moves.append(PRUNED if len(nxt_out) > output_cap else (dst, nxt_pos, nxt_out))
+            return moves
+
+        nodes, truncated = explore([(self.initial, 0, ())], successors)
+        return ApplyResult(frozenset(out for state, pos, out in nodes
+                                     if pos == len(word) and state in self.accepting),
+                           truncated)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ into a plain regular emptiness check.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Iterable, Optional
 
-from .automata import Alphabet, Dfa, Nfa, product_intersect
+from .automata import Alphabet, Dfa, Nfa, _kahn, product_intersect
 from .errors import CapExceeded
 from .protocols import ProtocolAlphabet, ProtocolOracle, Word
 
@@ -381,28 +380,6 @@ def _rows(a: Nfa) -> tuple[dict, dict]:
         succ[src].add(dst)
         adj.setdefault((src, sym), set()).add(dst)
     return succ, adj
-
-
-def _kahn(states, succ: dict) -> list[str]:
-    """The states that no cycle reaches, in topological order.
-
-    `states` must be closed under succ.  The ready queue is kept sorted,
-    so the order does not depend on set iteration.
-    """
-    indeg = dict.fromkeys(states, 0)
-    for s in states:
-        for dst in succ[s]:
-            indeg[dst] += 1
-    ready = sorted(s for s, n in indeg.items() if n == 0)  # a sorted list is a heap
-    order = []
-    while ready:
-        s = heapq.heappop(ready)
-        order.append(s)
-        for dst in succ[s]:
-            indeg[dst] -= 1
-            if indeg[dst] == 0:
-                heapq.heappush(ready, dst)
-    return order
 
 
 def _length_table(succ: dict, order: list[str]) -> dict:

@@ -1,9 +1,12 @@
-"""Three-valued search verdicts, bounded-search budgets and the search engine.
+"""Three-valued search verdicts, bounded-search budgets and the two walks.
 
 Simulators and realizability deciders never report Reject/No unless the
 search space was exhausted without hitting a bound; any truncation turns
 a failed search into Unknown.  `bounded_search` is the one place that
-rule is applied.
+rule is applied.  `explore` is its exhaustive sibling: the one
+reachable-set walk behind every machine the package builds from a
+product or a configuration graph, with the same cap rule and a
+`truncated` flag in place of Unknown.
 """
 from __future__ import annotations
 
@@ -105,3 +108,29 @@ def bounded_search(start, successors: Callable, is_goal: Callable,
             best[nxt] = (ncost, node, label)
             queue.append((nxt, ncost))
     return (Verdict.UNKNOWN if pruned else Verdict.REJECT), None
+
+
+def explore(starts, successors: Callable, max_nodes: Optional[int] = None) -> tuple[list, bool]:
+    """Breadth-first walk of every node reachable from starts.
+
+    successors(node) is called once per stored node, in discovery order, and
+    returns or yields the next nodes, or PRUNED for a move a bound cut off.
+    The starts are always stored; a new node is stored only while fewer than
+    max_nodes nodes are, otherwise it is dropped and the rest of the node's
+    moves are still tried.  Returns the distinct nodes in discovery order,
+    and whether a move was pruned or a node dropped.
+    """
+    nodes = list(dict.fromkeys(starts))
+    seen = set(nodes)
+    truncated = False
+    for node in nodes:  # the list is the queue: appended nodes are visited too
+        for nxt in successors(node):
+            if nxt is PRUNED:
+                truncated = True
+            elif nxt not in seen:
+                if max_nodes is not None and len(nodes) >= max_nodes:
+                    truncated = True
+                    continue
+                seen.add(nxt)
+                nodes.append(nxt)
+    return nodes, truncated

@@ -66,6 +66,39 @@ def random_fst(rng: random.Random, in_alphabet=AB, out_alphabet=AB,
     return Fst(states, in_alphabet, out_alphabet, transitions, states[0], accepting)
 
 
+# push/opener and pop/closer blocks of the bracket (stack) protocol
+BRACKET_BLOCKS = (("push(", "("), ("push[", "["), ("pop", ")"), ("pop", "]"))
+
+
+def random_bracket_nfa(rng: random.Random, alphabet, base=6, out_degree=3):
+    """Block-structured automaton over the bracket protocol alphabet.
+
+    Every edge between the base states b0..b{base-1} is one block of
+    BRACKET_BLOCKS through its own midpoint state, so random symbols
+    cannot break the push/opener and pop/closer pairing.  The first edge
+    of each base state goes to the next one around a ring and the last
+    base state accepts, so a witness takes several blocks.  Returns the
+    token automaton and the same graph over the block letters "0".."3"
+    (indexes into BRACKET_BLOCKS), whose words spell the token words
+    two tokens a letter.
+    """
+    names = [f"b{i}" for i in range(base)]
+    states = list(names)
+    transitions, block_moves = set(), set()
+    for i, src in enumerate(names):
+        for e in range(out_degree):
+            k = rng.randrange(len(BRACKET_BLOCKS))
+            dst = names[(i + 1) % base] if e == 0 else rng.choice(names)
+            mid = f"m{i}.{e}"
+            states.append(mid)
+            first, second = BRACKET_BLOCKS[k]
+            transitions |= {(src, first, mid), (mid, second, dst)}
+            block_moves.add((src, str(k), dst))
+    accepting = {names[-1]}
+    return (Nfa(states, alphabet, transitions, names[0], accepting),
+            Nfa(names, Alphabet(["0", "1", "2", "3"]), block_moves, names[0], accepting))
+
+
 def random_ads(rng: random.Random, pa, input_alphabet=AB, max_states=4,
                density=2.0, det=False):
     """Random machine over a protocol alphabet; det forces one future

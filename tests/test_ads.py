@@ -255,6 +255,26 @@ class TestCompose:
         assert simulate(comp, (), SET) is Verdict.REJECT
         assert simulate(comp, ("a", "a"), SET) is Verdict.REJECT
 
+    def test_pinned_machine(self):
+        # t: a -> bb feeding a machine that writes and queries between its
+        # two b reads; states are (machine|transducer|buffer), query hops end in |q
+        b_only = Alphabet(["b"])
+        m = AdsAutomaton({"w0", "w1", "w2"}, {"q0"}, b_only, SET_PA,
+                         {("w0", "b", ("a",), "q0"), ("w1", "b", (), "w2")},
+                         {("q0", "#ins", "#", "w1")}, "w0", {"w2"})
+        t = word_fst([(("a",), ("b", "b"))], Alphabet(["a"]), b_only)
+        comp = compose_with_fst(m, t)
+        assert comp.write_states == {"(w0||)", "(w0|0.0|b.b)", "(q0|0.0|b)",
+                                     "(w1|0.0|b)", "(w2|0.0|)"}
+        assert comp.query_states == {"(q0|0.0|b|q)"}
+        assert comp.write_moves == {
+            ("(w0||)", "a", (), "(w0|0.0|b.b)"),
+            ("(w0|0.0|b.b)", None, ("a",), "(q0|0.0|b)"),
+            ("(q0|0.0|b)", None, (), "(q0|0.0|b|q)"),
+            ("(w1|0.0|b)", None, (), "(w2|0.0|)")}
+        assert comp.query_moves == {("(q0|0.0|b|q)", "#ins", "#", "(w1|0.0|b)")}
+        assert (comp.initial, comp.accepting) == ("(w0||)", {"(w2|0.0|)"})
+
     def test_empty_domain_rejects_everything(self):
         from adskit.transducers import Fst
         m = m_prot(SET_PA)

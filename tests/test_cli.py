@@ -293,6 +293,14 @@ class TestExitCodes:
                              "--oracle", "set", "--advice", "zz")
         assert code == 64 and "--advice" in err and out == ""
 
+    @pytest.mark.parametrize("filt", ["dyck", "dyck-exact"])
+    def test_nrr_bounds_need_a_searched_filter(self, capsys, files, filt):
+        code, out, err = run(capsys, "nrr", "decide", files["dyck.nfa"],
+                             "--filter", filt, "--bounds", "max-configs=1")
+        assert code == 64 and "--bounds" in err and out == ""
+        assert run(capsys, "nrr", "decide", files["loop.nfa"], "--filter", "set",
+                    "--bounds", "max-configs=1")[0] == 2
+
     @pytest.mark.parametrize("argv, flag", [
         (["logtm", "run", "even.tm", "a,b", "--step-cap", "0"], "--step-cap"),
         (["fst", "apply", "dup.fst", "--cap", "-1"], "--cap"),

@@ -205,6 +205,14 @@ class TestSurfaceConfigNfa:
         with pytest.raises(CapExceeded):
             surface_config_nfa(toy_equality_tm(), ("a", "b", "a"), state_cap=3)
 
+    def test_state_cap_boundary(self):
+        x = ("a", "b", "a")
+        size = len(surface_config_nfa(toy_equality_tm(), x).states)
+        assert surface_config_nfa(toy_equality_tm(), x, state_cap=size).states \
+            == surface_config_nfa(toy_equality_tm(), x).states
+        with pytest.raises(CapExceeded):
+            surface_config_nfa(toy_equality_tm(), x, state_cap=size - 1)
+
 
 LAM_ALPHA = Alphabet(["a", "b", LAMBDA])
 

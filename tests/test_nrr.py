@@ -31,7 +31,7 @@ from adskit.protocols import (
 from adskit.transducers import identity_fst
 from adskit.verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
 
-from genrand import AB, random_ads, random_nfa
+from genrand import AB, BRACKET_BLOCKS, random_ads, random_bracket_nfa, random_nfa
 from oracles import brute_words
 
 SET = SetOracle()
@@ -226,6 +226,26 @@ class TestDyckDecider:
                     nonempty += len(answer.witness) > 0
         assert nonempty > 15 and rejected > 200
 
+    def test_block_witnesses_are_least_members_by_brute_force(self):
+        # block-structured instances: their witnesses push and pop through
+        # several blocks, which random symbols rarely line up to do
+        rng = random.Random(405)
+        long_witnesses = {False: 0, True: 0}
+        for _ in range(100):
+            a, blocks = random_bracket_nfa(rng, DYCK_ALPHA)
+            words = [tuple(tok for k in w for tok in BRACKET_BLOCKS[int(k)])
+                     for w in brute_words(blocks, 6)]
+            for exact in (False, True):
+                members = [w for w in words if membership(DyckOracle(exact), w)]
+                answer = nreg_dyck(a, exact_d2=exact)
+                if not members:
+                    assert answer.verdict is Verdict.REJECT or len(answer.witness) > 12
+                    continue
+                least = min(members, key=lambda w: (len(w), w))
+                assert answer.witness == least
+                long_witnesses[exact] += len(least) >= 6
+        assert long_witnesses[False] >= 35 and long_witnesses[True] >= 25, long_witnesses
+
     def test_agrees_with_generic_and_never_unknown(self):
         rng = random.Random(402)
         compared = 0
@@ -366,6 +386,34 @@ class TestMembershipReduction:
         assert set(dfa.enumerate_words(5)) == {("0", "ins", "+")}
         inst = NrrInstance(dfa, sis)
         assert nreg_generic(inst).verdict is Verdict.ACCEPT
+
+    def test_pinned_dfa(self):
+        # states are named e0, e1, ... in discovery order; a write of two
+        # tokens passes a .w state, a query a .q state
+        m, _ = self.build_all_inputs_machine()
+        dfa = membership_to_reg(m, ("a", "a"))
+        assert dfa.states == {"e0", "e1", "e1.q", "e2"}
+        assert dfa.transitions == {("e0", "0", "e1"), ("e1", "ins", "e1.q"),
+                                   ("e1.q", "+", "e2")}
+        assert (dfa.initial, dfa.accepting) == ("e0", {"e2"})
+        sis = SingleInsertOracle(1)
+        m = AdsAutomaton(
+            write_states={"w0", "acc"},
+            query_states={"q0"},
+            input_alphabet=AB,
+            protocol=sis.alphabet,
+            write_moves={("w0", "a", ("0", "0"), "q0"), ("acc", "a", (), "acc"),
+                         ("acc", "b", ("0",), "acc")},
+            query_moves={("q0", "ins", "+", "acc"), ("q0", "ins", "-", "w0")},
+            initial="w0",
+            accepting={"acc"},
+        )
+        dfa = membership_to_reg(m, ("a", "b"))
+        assert dfa.states == {"e0", "e0.w1", "e1", "e1.q", "e2", "e3", "e4"}
+        assert dfa.transitions == {
+            ("e0", "0", "e0.w1"), ("e0.w1", "0", "e1"), ("e1", "ins", "e1.q"),
+            ("e1.q", "+", "e2"), ("e1.q", "-", "e3"), ("e2", "0", "e4")}
+        assert (dfa.initial, dfa.accepting) == ("e0", {"e4"})
 
     def test_rejected_input_fails_final_state_check(self):
         sis = SingleInsertOracle(1)

@@ -1,4 +1,4 @@
-from adskit.verdict import PRUNED, Verdict, bounded_search
+from adskit.verdict import PRUNED, Verdict, bounded_search, explore
 
 
 def search(graph, goals=(), max_configs=100):
@@ -75,3 +75,42 @@ class TestCheaperRevisits:
             "b": [("y", 0, "by"), ("a", 0, "ba")],
         }
         assert search(graph, goals={"a"}, max_configs=3) == (Verdict.ACCEPT, ("sb", "ba"))
+
+
+def walk(graph, starts=("s",), max_nodes=None):
+    """Run the walk over a dict graph: node -> [next | PRUNED]."""
+    return explore(starts, lambda node: graph.get(node, ()), max_nodes)
+
+
+DIAMOND = {"s": ["b", "a"], "a": ["c", "s"], "b": ["c", "d"], "c": ["e"]}
+
+
+class TestExplore:
+    def test_discovery_order(self):
+        assert walk(DIAMOND) == (["s", "b", "a", "c", "d", "e"], False)
+
+    def test_successors_called_once_per_node_in_order(self):
+        called = []
+
+        def successors(node):
+            called.append(node)
+            return DIAMOND.get(node, ())
+
+        nodes, _ = explore(["s"], successors)
+        assert called == nodes
+
+    def test_duplicate_starts_stored_once(self):
+        assert walk(DIAMOND, starts=["c", "a", "c"]) == (["c", "a", "e", "s", "b", "d"], False)
+
+    def test_node_without_moves(self):
+        assert walk({}, starts=["x"]) == (["x"], False)
+
+    def test_pruned_move_truncates(self):
+        nodes, truncated = walk(dict(DIAMOND, d=[PRUNED]))
+        assert nodes == ["s", "b", "a", "c", "d", "e"] and truncated
+
+    def test_cap_equal_to_the_graph_is_not_truncated(self):
+        assert walk(DIAMOND, max_nodes=6) == (["s", "b", "a", "c", "d", "e"], False)
+
+    def test_cap_hit_stores_max_nodes_and_truncates(self):
+        assert walk(DIAMOND, max_nodes=5) == (["s", "b", "a", "c", "d"], True)
