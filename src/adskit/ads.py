@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Optional
 
 from .automata import Alphabet, Word
-from .protocols import ProtocolAlphabet, ProtocolOracle
+from .protocols import ProtocolAlphabet, ProtocolOracle, protocol_search
 from .transducers import Fst
-from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search, explore
+from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict, explore
 
 # reserved input tokens for the left and right endmarkers
 LM = "lm"
@@ -134,50 +134,40 @@ def simulate(m: AdsAutomaton, word: Word, oracle: ProtocolOracle,
              bounds: SearchBounds = DEFAULT_BOUNDS) -> Verdict:
     """Bounded search over machine configurations.
 
-    Configurations are deduplicated on (state, input position, tape,
-    oracle key); the block count rides along for the block bound only.
-    Reject is claimed only when the whole graph was explored; any pruned
-    branch (tape, blocks, or config cap) downgrades a miss to Unknown.
+    The control of a configuration is (state, input position); the tape,
+    the oracle state and the bounds are `protocol_search`'s.  Reject is
+    claimed only when the whole graph was explored; any pruned branch
+    (tape, blocks, or config cap) downgrades a miss to Unknown.
     """
     if oracle.alphabet != m.protocol:
         raise ValueError("oracle alphabet does not match the automaton's protocol alphabet")
     full = _effective_input(m, word)
-    ostates = {}
-
-    def okey(state) -> str:
-        k = oracle.canonical_key(state)
-        ostates.setdefault(k, state)
-        return k
-
-    def is_goal(cfg):
-        state, pos, tape, ok = cfg
-        return (state in m.accepting and pos == len(full) and tape == ()
-                and oracle.accepting(ostates[ok]))
-
-    def successors(cfg, blocks):
-        state, pos, tape, ok = cfg
-        for _, inp, write, dst in m.write_moves_from(state):
-            if inp is None:
-                npos = pos
-            elif pos < len(full) and full[pos] == inp:
-                npos = pos + 1
-            else:
-                continue
-            if len(tape) + len(write) > bounds.max_tape:
-                yield PRUNED
-                continue
-            yield (dst, npos, tape + write, ok), blocks, None
+    end = len(full)
+    # each state's distinct query symbols in move order; targets by (state, q, r)
+    queries, targets = {}, {}
+    for state in m.query_states:
         for _, q, r, dst in m.query_moves_from(state):
-            answer = oracle.respond(ostates[ok], tape, q)
-            if answer is None or answer[0] != r:
-                continue
-            if blocks + 1 > bounds.max_blocks:
-                yield PRUNED
-                continue
-            yield (dst, pos, (), okey(answer[1])), blocks + 1, None
+            queries.setdefault(state, {})[q] = None
+            targets.setdefault((state, q, r), []).append(dst)
 
-    start = (m.initial, 0, (), okey(oracle.initial_state()))
-    return bounded_search(start, successors, is_goal, bounds.max_configs)[0]
+    def writes(control):
+        state, pos = control
+        here = full[pos] if pos < end else None
+        return [(write, (dst, pos)) if inp is None else (write, (dst, pos + 1))
+                for _, inp, write, dst in m.write_moves_from(state)
+                if inp is None or inp == here]
+
+    def asks(control):
+        return queries.get(control[0], ())
+
+    def answers(control, q, r):
+        state, pos = control
+        return [(dst, pos) for dst in targets.get((state, q, r), ())]
+
+    def is_final(control):
+        return control[0] in m.accepting and control[1] == end
+
+    return protocol_search((m.initial, 0), oracle, writes, asks, answers, is_final, bounds)[0]
 
 
 def m_prot(pa: ProtocolAlphabet, oracle: Optional[ProtocolOracle] = None) -> AdsAutomaton:

@@ -246,16 +246,6 @@ class Nfa:
                         transitions.add((s, sym, dst))
         return Nfa(self.states, self.alphabet, transitions, self.initial, accepting)
 
-    def renamed(self, fn) -> "Nfa":
-        return Nfa(
-            {fn(s) for s in self.states},
-            self.alphabet,
-            {(fn(s), a, fn(d)) for s, a, d in self.transitions},
-            fn(self.initial),
-            {fn(s) for s in self.accepting},
-        )
-
-
 class Dfa(Nfa):
     """Deterministic (possibly partial) automaton.
 
@@ -391,16 +381,22 @@ def product_intersect(a: Nfa, b: Nfa) -> Nfa:
 
 def to_dot(a: Nfa, title: str = "automaton") -> str:
     """GraphViz rendering; accepting states are double circles."""
+    return dot_graph(title, a.states, a.accepting, a.initial,
+                     ((src, "ε" if sym is None else sym, dst) for src, sym, dst in a.transitions))
+
+
+def dot_graph(title: str, states, accepting, initial: str, edges) -> str:
+    """GraphViz digraph of (src, label, dst) edges; parallel edges share one
+    arrow with their labels sorted and comma-joined."""
     lines = [f'digraph "{title}" {{', "  rankdir=LR;", '  __start [shape=point, label=""];']
-    for s in sorted(a.states):
-        shape = "doublecircle" if s in a.accepting else "circle"
+    for s in sorted(states):
+        shape = "doublecircle" if s in accepting else "circle"
         lines.append(f'  "{s}" [shape={shape}];')
-    lines.append(f'  __start -> "{a.initial}";')
+    lines.append(f'  __start -> "{initial}";')
     by_edge: dict[tuple[str, str], list[str]] = {}
-    for src, sym, dst in a.transitions:
-        by_edge.setdefault((src, dst), []).append("ε" if sym is None else sym)
+    for src, label, dst in edges:
+        by_edge.setdefault((src, dst), []).append(label)
     for (src, dst), labels in sorted(by_edge.items()):
-        label = ", ".join(sorted(labels))
-        lines.append(f'  "{src}" -> "{dst}" [label="{label}"];')
+        lines.append(f'  "{src}" -> "{dst}" [label="{", ".join(sorted(labels))}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .ads import AdsAutomaton
-from .automata import Alphabet, Dfa, Nfa, Word
+from .automata import Alphabet, Dfa, Nfa, Word, dot_graph
 from .errors import FormatError
 from .logtm import LogTm, TmRule
 from .protocols import ProtocolAlphabet
@@ -53,7 +53,7 @@ def _need(cond, no: int, message: str):
         raise FormatError(message, line_no=no)
 
 
-def _sym(tok: str, no: int) -> Optional[str]:
+def _sym(tok: str) -> Optional[str]:
     if tok == EPS_TOKEN:
         return None
     return tok
@@ -87,20 +87,22 @@ class _Doc:
         _need(val == [expected_type], no,
               f"expected type {expected_type!r}, found {' '.join(val)!r}")
 
-    def one(self, key: str, minimum: int = 1) -> list[str]:
+    def one(self, key: str, minimum: int = 1) -> tuple[int, list[str]]:
+        """The line number and tokens of the one `key` line."""
         rows = self.rows.pop(key, [])
         _need(len(rows) == 1, rows[0][0] if rows else 1,
               f"exactly one {key!r} line required")
         no, toks = rows[0]
         _need(len(toks) >= minimum, no, f"{key!r} line needs at least {minimum} tokens")
-        return toks
+        return no, toks
 
-    def maybe(self, key: str) -> Optional[list[str]]:
+    def maybe(self, key: str) -> tuple[int, Optional[list[str]]]:
+        """Like `one`, but a missing line gives (1, None)."""
         rows = self.rows.pop(key, [])
         if not rows:
-            return None
+            return 1, None
         _need(len(rows) == 1, rows[0][0], f"at most one {key!r} line allowed")
-        return rows[0][1]
+        return rows[0]
 
     def many(self, key: str) -> list[tuple[int, list[str]]]:
         return self.rows.pop(key, [])
@@ -110,7 +112,8 @@ class _Doc:
             raise FormatError(f"unknown directive {key!r}", line_no=rows[0][0])
 
 
-def _alphabet(tokens: Iterable[str], no: int) -> Alphabet:
+def _alphabet(row: tuple[int, Iterable[str]]) -> Alphabet:
+    no, tokens = row
     try:
         return Alphabet(tokens)
     except ValueError as exc:
@@ -136,16 +139,15 @@ def load_automaton(text: str) -> Nfa:
     if kind not in ("nfa", "dfa"):
         raise FormatError(f"unknown automaton type {kind!r}", line_no=1)
     doc = _Doc(text, kind)
-    alpha_no = doc.rows.get("alphabet", [(1, [])])[0][0]
-    alphabet = _alphabet(doc.one("alphabet"), alpha_no)
-    states = set(doc.one("states"))
-    initial = doc.one("initial")[0]
-    accept_row = doc.maybe("accept") or []
+    alphabet = _alphabet(doc.one("alphabet"))
+    states = set(doc.one("states")[1])
+    initial = doc.one("initial")[1][0]
+    accept_row = doc.maybe("accept")[1] or []
     transitions = set()
     trans_no = 1
     for no, toks in doc.many("trans"):
         _need(len(toks) == 3, no, "trans needs <src> <tok|eps> <dst>")
-        transitions.add((toks[0], _sym(toks[1], no), toks[2]))
+        transitions.add((toks[0], _sym(toks[1]), toks[2]))
         trans_no = no
     doc.finish()
     ctor = Dfa if kind == "dfa" else Nfa
@@ -169,16 +171,16 @@ def dump_automaton(a: Nfa) -> str:
 
 def load_fst(text: str) -> Fst:
     doc = _Doc(text, "fst")
-    alphabet = _alphabet(doc.one("alphabet"), 1)
-    out_alpha = _alphabet(doc.one("outalphabet"), 1)
-    states = set(doc.one("states"))
-    initial = doc.one("initial")[0]
-    accept_row = doc.maybe("accept") or []
+    alphabet = _alphabet(doc.one("alphabet"))
+    out_alpha = _alphabet(doc.one("outalphabet"))
+    states = set(doc.one("states")[1])
+    initial = doc.one("initial")[1][0]
+    accept_row = doc.maybe("accept")[1] or []
     transitions = set()
     last_no = 1
     for no, toks in doc.many("trans"):
         _need(len(toks) == 4, no, "trans needs <src> <tok|eps> <out|-> <dst>")
-        transitions.add((toks[0], _sym(toks[1], no), _word(toks[2], no), toks[3]))
+        transitions.add((toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]))
         last_no = no
     doc.finish()
     return _build(Fst, last_no, states, alphabet, out_alpha,
@@ -201,20 +203,9 @@ def dump_fst(t: Fst) -> str:
 
 def fst_dot(t: Fst, title: str = "transducer") -> str:
     """GraphViz rendering with in/out edge labels."""
-    lines = [f'digraph "{title}" {{', "  rankdir=LR;",
-             '  __start [shape=point, label=""];']
-    for s in sorted(t.states):
-        shape = "doublecircle" if s in t.accepting else "circle"
-        lines.append(f'  "{s}" [shape={shape}];')
-    lines.append(f'  __start -> "{t.initial}";')
-    by_edge: dict[tuple[str, str], list[str]] = {}
-    for src, sym, word, dst in t.transitions:
-        label = f"{'ε' if sym is None else sym}/{'·'.join(word) if word else 'ε'}"
-        by_edge.setdefault((src, dst), []).append(label)
-    for (src, dst), labels in sorted(by_edge.items()):
-        lines.append(f'  "{src}" -> "{dst}" [label="{", ".join(sorted(labels))}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    edges = ((src, f"{'ε' if sym is None else sym}/{'·'.join(word) if word else 'ε'}", dst)
+             for src, sym, word, dst in t.transitions)
+    return dot_graph(title, t.states, t.accepting, t.initial, edges)
 
 
 # -- storage machines ------------------------------------------------------
@@ -222,7 +213,7 @@ def fst_dot(t: Fst, title: str = "transducer") -> str:
 
 def load_ads(text: str, protocol: ProtocolAlphabet) -> AdsAutomaton:
     doc = _Doc(text, "ads")
-    alphabet = _alphabet(doc.one("alphabet"), 1)
+    alphabet = _alphabet(doc.one("alphabet"))
     write_states: set = set()
     query_states: set = set()
     for no, toks in doc.many("partition"):
@@ -230,14 +221,14 @@ def load_ads(text: str, protocol: ProtocolAlphabet) -> AdsAutomaton:
         kind, ids = toks[0], toks[1:]
         _need(kind in ("wr", "query"), no, f"unknown partition kind {kind!r}")
         (write_states if kind == "wr" else query_states).update(ids)
-    initial = doc.one("initial")[0]
-    accept_row = doc.maybe("accept") or []
+    initial = doc.one("initial")[1][0]
+    accept_row = doc.maybe("accept")[1] or []
     write_moves = set()
     query_moves = set()
     last_no = 1
     for no, toks in doc.many("wmove"):
         _need(len(toks) == 4, no, "wmove needs <src> <tok|eps|lm|rm> <word|-> <dst>")
-        write_moves.add((toks[0], _sym(toks[1], no), _word(toks[2], no), toks[3]))
+        write_moves.add((toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]))
         last_no = no
     for no, toks in doc.many("qmove"):
         _need(len(toks) == 4, no, "qmove needs <src> <query> <resp> <dst>")
@@ -290,16 +281,16 @@ def load_tm(text: str) -> LogTm:
             else:
                 rejecting.add(name)
     _need(initial is not None, 1, "one tmstate needs the initial flag")
-    alphabet = _alphabet(doc.one("alphabet"), 1)
-    work = _alphabet(doc.one("workalphabet"), 1)
-    size_row = doc.one("worksize")
+    alphabet = _alphabet(doc.one("alphabet"))
+    work = _alphabet(doc.one("workalphabet"))
+    size_no, size_row = doc.one("worksize")
     try:
         work_size = int(size_row[0])
     except ValueError:
         raise FormatError(f"worksize must be an integer, got {size_row[0]!r}",
-                          line_no=1) from None
+                          line_no=size_no) from None
     advice_row = doc.maybe("advicealphabet")
-    advice = _alphabet(advice_row, 1) if advice_row is not None else None
+    advice = _alphabet(advice_row) if advice_row[1] is not None else None
     rules = []
     last_no = 1
     for no, toks in doc.many("rule"):

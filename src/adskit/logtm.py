@@ -14,8 +14,8 @@ from typing import Optional
 from .ads import LM, RM
 from .automata import Alphabet, Dfa, Nfa, Word
 from .errors import CapExceeded
-from .protocols import ProtocolOracle
-from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search, explore
+from .protocols import ProtocolOracle, protocol_search
+from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict, bounded_search, explore
 
 BLANK = "_"
 LAMBDA = "Λ"
@@ -141,12 +141,17 @@ def _input_tape(tm: LogTm, x: Word) -> tuple:
     return (LM,) + tuple(x) + (RM,)
 
 
-def _move_heads(tm: LogTm, rule: TmRule, i: int, head: int, tape_len: int):
-    ni = i + MOVES[rule.in_move]
-    nh = head + MOVES[rule.work_move]
-    if not (0 <= ni < tape_len) or not (0 <= nh < tm.work_size):
-        return None
-    return ni, nh
+def _rule_steps(tm: LogTm, tape: tuple, q: str, i: int, work: tuple, head: int):
+    """Rules of q that apply at input head i and work head head, in table
+    order, each with the input head, work tape and work head it leads to;
+    a rule that would move a head off its tape does not apply."""
+    for rule in tm._rules_from.get(q, ()):
+        if rule.in_sym != tape[i] or rule.work_sym != work[head]:
+            continue
+        ni = i + MOVES[rule.in_move]
+        nh = head + MOVES[rule.work_move]
+        if 0 <= ni < len(tape) and 0 <= nh < tm.work_size:
+            yield rule, ni, work[:head] + (rule.work_write,) + work[head + 1:], nh
 
 
 def run_with_advice(tm: LogTm, x: Word, y: Word, step_cap: int = 100_000) -> Verdict:
@@ -173,16 +178,9 @@ def run_with_advice(tm: LogTm, x: Word, y: Word, step_cap: int = 100_000) -> Ver
         # halting states carry no rules, so their configurations end here
         q, i, work, head, j = cfg
         under = y[j] if j < len(y) else LAMBDA
-        for rule in tm._rules_from.get(q, ()):
-            if rule.in_sym != tape[i] or rule.work_sym != work[head]:
-                continue
+        for rule, ni, nwork, nh in _rule_steps(tm, tape, q, i, work, head):
             if rule.consume and rule.advice != under:
                 continue
-            moved = _move_heads(tm, rule, i, head, len(tape))
-            if moved is None:
-                continue
-            ni, nh = moved
-            nwork = work[:head] + (rule.work_write,) + work[head + 1:]
             nj = min(j + 1, len(y)) if rule.consume else j
             yield (rule.dst, ni, nwork, nh, nj), 0, None
 
@@ -214,14 +212,7 @@ def surface_config_nfa(tm: LogTm, x: Word, state_cap: int = 20_000) -> Nfa:
             return
         if cfg.q in tm.rejecting:
             return
-        for rule in tm._rules_from.get(cfg.q, ()):
-            if rule.in_sym != tape[cfg.i] or rule.work_sym != cfg.tape[cfg.head]:
-                continue
-            moved = _move_heads(tm, rule, cfg.i, cfg.head, len(tape))
-            if moved is None:
-                continue
-            ni, nh = moved
-            nwork = cfg.tape[:cfg.head] + (rule.work_write,) + cfg.tape[cfg.head + 1:]
+        for rule, ni, nwork, nh in _rule_steps(tm, tape, cfg.q, cfg.i, cfg.tape, cfg.head):
             nxt = SurfaceConfig(rule.dst, nwork, nh, ni)
             moves.append((cfg, rule.advice if rule.consume else None, nxt))
             yield nxt
@@ -297,50 +288,24 @@ def run_with_protocol(tm: LogTm, x: Word, o: ProtocolOracle,
             raise ValueError(f"response symbol {r!r} not declared by the oracle")
 
     tape = _input_tape(tm, x)
-    blanks = (BLANK,) * tm.work_size
-    ostate0 = o.initial_state()
-    start = (tm.initial, 0, blanks, 0, (), o.canonical_key(ostate0))
-    ostates = {start[5]: ostate0}
 
-    def is_goal(cfg):
-        q, _, _, _, u, okey = cfg
-        return q in tm.accepting and not u and o.accepting(ostates[okey])
-
-    def successors(cfg, blocks):
+    def writes(control):
         # halting states carry no rules or queries, so their configurations end here
-        q, i, work, head, u, okey = cfg
-        for rule in tm._rules_from.get(q, ()):
-            if rule.in_sym != tape[i] or rule.work_sym != work[head]:
-                continue
-            moved = _move_heads(tm, rule, i, head, len(tape))
-            if moved is None:
-                continue
-            ni, nh = moved
-            nu = u
-            if rule.qwrite is not None:
-                if len(u) >= bounds.max_tape:
-                    yield PRUNED
-                    continue
-                nu = u + (rule.qwrite,)
-            nwork = work[:head] + (rule.work_write,) + work[head + 1:]
-            yield (rule.dst, ni, nwork, nh, nu, okey), blocks, None
-        for qsym in tm._queries_from.get(q, ()):
-            answer = o.respond(ostates[okey], u, qsym)
-            if answer is None:
-                continue
-            r, nstate = answer
-            targets = tm._responses_from.get((q, r), ())
-            if not targets:
-                continue
-            if blocks + 1 > bounds.max_blocks:
-                yield PRUNED
-                continue
-            nkey = o.canonical_key(nstate)
-            ostates.setdefault(nkey, nstate)
-            for dst in targets:
-                yield (dst, i, work, head, (), nkey), blocks + 1, None
+        return [(() if rule.qwrite is None else (rule.qwrite,), (rule.dst, ni, nwork, nh))
+                for rule, ni, nwork, nh in _rule_steps(tm, tape, *control)]
 
-    return bounded_search(start, successors, is_goal, bounds.max_configs)[0]
+    def asks(control):
+        return tm._queries_from.get(control[0], ())
+
+    def answers(control, qsym, r):
+        q, i, work, head = control
+        return [(dst, i, work, head) for dst in tm._responses_from.get((q, r), ())]
+
+    def is_final(control):
+        return control[0] in tm.accepting
+
+    start = (tm.initial, 0, (BLANK,) * tm.work_size, 0)
+    return protocol_search(start, o, writes, asks, answers, is_final, bounds)[0]
 
 
 # -- toy machines -----------------------------------------------------------

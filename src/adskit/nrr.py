@@ -20,10 +20,11 @@ from .protocols import (
     ProtocolOracle,
     membership,
     per_k_membership,
+    protocol_search,
     sigma_k,
 )
 from .transducers import Fst, id_on, image_nfa, preimage_nfa
-from .verdict import DEFAULT_BOUNDS, PRUNED, SearchBounds, Verdict, bounded_search, explore
+from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict, bounded_search, explore
 
 
 class PerKFilter:
@@ -87,11 +88,11 @@ def _validated(inst: NrrInstance, witness: Word) -> NrrAnswer:
 def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswer:
     """Breadth-first intersection search for oracle filters.
 
-    Nodes track the NFA state set, the write word of the open block, and
-    the oracle state (deduplicated through canonical_key).  The block
-    count rides along so a node cut off by the block cap earlier can be
-    revisited on a cheaper path.  No is reported only when the whole
-    space was exhausted without touching a bound.
+    The control of a node is the NFA state set; `protocol_search` adds
+    the write word of the open block and the oracle state.  A write
+    reads its one token, a query answered by r reads q then r.  No is
+    reported only when the whole space was exhausted without touching a
+    bound.
     """
     o = inst.filter
     if not isinstance(o, ProtocolOracle):
@@ -100,44 +101,30 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
     a = inst.automaton.trim()
     if not a.accepting:
         return NrrAnswer(Verdict.REJECT)
-    pa = o.alphabet
-    wr = tuple(pa.gamma_wr) if pa.gamma_wr is not None else ()
+    step, accepting = a.step, a.accepting
+    tokens = [((sym,), sym) for sym in o.alphabet.wr_symbols]
+    queries = tuple(o.alphabet.gamma_query)
 
-    start_ostate = o.initial_state()
-    start = (a.eps_closure([a.initial]), (), o.canonical_key(start_ostate))
-    ostates = {start[2]: start_ostate}
+    def writes(states):
+        moves = []
+        for tok, sym in tokens:
+            nxt = step(states, sym)
+            if nxt:
+                moves.append((tok, nxt))
+        return moves
 
-    def is_goal(node):
-        states, pending, okey = node
-        return not pending and states & a.accepting and o.accepting(ostates[okey])
+    def asks(states):
+        return queries
 
-    def successors(node, blocks):
-        states, pending, okey = node
-        ostate = ostates[okey]
-        for sym in wr:
-            nxt = a.step(states, sym)
-            if not nxt:
-                continue
-            if len(pending) >= bounds.max_tape:
-                yield PRUNED
-                continue
-            yield (nxt, pending + (sym,), okey), blocks, (sym,)
-        for q in pa.gamma_query:
-            answer = o.respond(ostate, pending, q)
-            if answer is None:
-                continue
-            r, nstate = answer
-            nxt = a.step(a.step(states, q), r)
-            if not nxt:
-                continue
-            if blocks + 1 > bounds.max_blocks:
-                yield PRUNED
-                continue
-            nkey = o.canonical_key(nstate)
-            ostates.setdefault(nkey, nstate)
-            yield (nxt, (), nkey), blocks + 1, (q, r)
+    def answers(states, q, r):
+        nxt = step(step(states, q), r)
+        return (nxt,) if nxt else ()
 
-    verdict, labels = bounded_search(start, successors, is_goal, bounds.max_configs)
+    def is_final(states):
+        return not accepting.isdisjoint(states)
+
+    verdict, labels = protocol_search(a.eps_closure([a.initial]), o, writes, asks, answers,
+                                      is_final, bounds)
     if verdict is Verdict.ACCEPT:
         return _validated(inst, tuple(tok for part in labels for tok in part))
     return NrrAnswer(verdict)

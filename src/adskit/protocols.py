@@ -4,7 +4,10 @@ A protocol is a sequence of blocks u·q·r: a written word u over the
 write alphabet, one query symbol q, one response symbol r. An oracle is
 the behavioral side of an auxiliary data structure: it owns the alphabet,
 answers queries deterministically, and exposes a canonical key so search
-code can deduplicate behaviorally equal states.
+code can deduplicate behaviorally equal states.  `membership` replays one
+word block by block; `protocol_search` runs the same block rule over
+every run of a machine, and is the one search behind the storage-automaton
+simulator, the realizability search and the log-space query runs.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .automata import Alphabet, Word
+from .verdict import PRUNED, SearchBounds, Verdict, bounded_search
 
 
 class BlockParseError(ValueError):
@@ -148,6 +152,63 @@ def membership(o: ProtocolOracle, word: Word) -> bool:
             return False
         state = answer[1]
     return o.accepting(state)
+
+
+def protocol_search(start, oracle: ProtocolOracle, writes, asks, answers, is_final,
+                    bounds: SearchBounds) -> tuple[Verdict, Optional[tuple]]:
+    """Bounded search over the runs of a machine talking to an oracle.
+
+    Nodes are (control, tape, oracle key); the client supplies only its
+    control moves.  writes(control) lists (tokens, next control) pairs,
+    each appending its tokens to the tape; asks(control) lists the query
+    symbols the control may issue; answers(control, q, r) lists the
+    controls that go on once the oracle answered the tape and q with r.
+    A query clears the tape and counts one block.  A node is a goal on an
+    empty tape, in a final control and an accepting oracle state.  Oracle
+    states are interned by canonical_key.  A write past max_tape prunes,
+    and so does a query that has a continuation once it would exceed
+    max_blocks; a response nothing continues from does neither.  Returns
+    bounded_search's verdict and, on ACCEPT, the path's labels: the
+    tokens of each write and the (q, r) pair of each query.
+    """
+    ostates = {}
+    canonical_key, respond, accepting = oracle.canonical_key, oracle.respond, oracle.accepting
+    max_tape, max_blocks = bounds.max_tape, bounds.max_blocks
+
+    def is_goal(node):
+        control, tape, key = node
+        return not tape and is_final(control) and accepting(ostates[key])
+
+    def successors(node, blocks):
+        control, tape, key = node
+        room = max_tape - len(tape)
+        moves = []
+        for tokens, nxt in writes(control):
+            moves.append(((nxt, tape + tokens, key), blocks, tokens)
+                         if len(tokens) <= room else PRUNED)
+        ostate = ostates[key]
+        for q in asks(control):
+            answer = respond(ostate, tape, q)
+            if answer is None:
+                continue
+            r, nstate = answer
+            nexts = answers(control, q, r)
+            if not nexts:
+                continue
+            if blocks >= max_blocks:
+                moves.append(PRUNED)
+                continue
+            nkey = canonical_key(nstate)
+            ostates.setdefault(nkey, nstate)
+            label = (q, r)
+            for nxt in nexts:
+                moves.append(((nxt, (), nkey), blocks + 1, label))
+        return moves
+
+    state = oracle.initial_state()
+    key = canonical_key(state)
+    ostates[key] = state
+    return bounded_search((start, (), key), successors, is_goal, bounds.max_configs)
 
 
 # -- shipped oracles -----------------------------------------------------

@@ -3,7 +3,9 @@
 Simulators and realizability deciders never report Reject/No unless the
 search space was exhausted without hitting a bound; any truncation turns
 a failed search into Unknown.  `bounded_search` is the one place that
-rule is applied.  `explore` is its exhaustive sibling: the one
+rule is applied; `protocols.protocol_search` runs every machine that talks
+to an oracle on it, and charges the tape and block bounds there as
+PRUNED moves.  `explore` is its exhaustive sibling: the one
 reachable-set walk behind every machine the package builds from a
 product or a configuration graph, with the same cap rule and a
 `truncated` flag in place of Unknown.

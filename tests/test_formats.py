@@ -289,3 +289,33 @@ class TestLogSpaceMachines:
         text = TM_TEXT.replace("S S hold\nquery", "S S shout\nquery")
         with pytest.raises(FormatError, match="mode"):
             load_tm(text)
+
+
+
+def _load_set_ads(text):
+    return load_ads(text, SetOracle().alphabet)
+
+
+class TestErrorLines:
+    """A bad header line is named in the error, whatever the file kind."""
+
+    @pytest.mark.parametrize("load, text", [
+        (load_automaton, "type nfa\nstates s\nalphabet a a\ninitial s\n"),
+        (load_fst, "type fst\nstates s\nalphabet a a\noutalphabet b\ninitial s\n"),
+        (_load_set_ads, "type ads\npartition wr s\nalphabet a a\ninitial s\n"),
+        (load_tm, "type tm\ntmstate s initial\nalphabet a a\nworkalphabet x\nworksize 1\n"),
+    ], ids=["nfa", "fst", "ads", "tm"])
+    def test_duplicate_symbol_names_its_line(self, load, text):
+        with pytest.raises(FormatError, match="^line 3: ") as err:
+            load(text)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("load, text", [
+        (load_fst, "type fst\nstates s\nalphabet a\ninitial s\noutalphabet b b\n"),
+        (load_tm, "type tm\ntmstate s initial\nalphabet a\nworkalphabet x\nworksize two\n"),
+        (load_tm, "type tm\ntmstate s initial\nalphabet a\nworksize 1\nadvicealphabet 0 0\n"
+                  "workalphabet x\n"),
+    ], ids=["fst-outalphabet", "tm-worksize", "tm-advicealphabet"])
+    def test_later_header_names_its_line(self, load, text):
+        with pytest.raises(FormatError, match="^line 5: "):
+            load(text)

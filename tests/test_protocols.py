@@ -15,8 +15,10 @@ from adskit.protocols import (
     membership,
     parse_blocks,
     per_k_membership,
+    protocol_search,
     random_member,
 )
+from adskit.verdict import SearchBounds, Verdict
 from oracles import naive_set_replay
 
 
@@ -299,3 +301,78 @@ class TestCanonicalKey:
                         assert (ra is None) == (rb is None)
                         if ra is not None:
                             assert ra[0] == rb[0]
+
+
+def _graph_search(oracle, moves, finals, start="s", **bounds):
+    """protocol_search over a hand-built control graph.
+
+    moves maps a control to ("w", tokens, next) writes and ("q", q, r,
+    next) queries that go on to next when the oracle answers q with r.
+    """
+    def writes(c):
+        return [(m[1], m[2]) for m in moves.get(c, ()) if m[0] == "w"]
+
+    def asks(c):
+        return list(dict.fromkeys(m[1] for m in moves.get(c, ()) if m[0] == "q"))
+
+    def answers(c, q, r):
+        return [m[3] for m in moves.get(c, ()) if m[0] == "q" and m[1:3] == (q, r)]
+
+    return protocol_search(start, oracle, writes, asks, answers, finals.__contains__,
+                           SearchBounds(**bounds))
+
+
+class TestProtocolSearch:
+    # s writes a, then a b, inserts the three-token tape and stops in f
+    TAPE = {"s": [("w", ("a",), "t")], "t": [("w", ("a", "b"), "u")],
+            "u": [("q", "#ins", "#", "f")]}
+    # three empty-tape inserts in a row
+    CHAIN = {f"c{i}": [("q", "#ins", "#", f"c{i + 1}")] for i in range(3)}
+
+    def test_write_up_to_max_tape_is_taken(self):
+        verdict, labels = _graph_search(SetOracle(), self.TAPE, {"f"}, max_tape=3)
+        assert verdict is Verdict.ACCEPT
+        assert labels == (("a",), ("a", "b"), ("#ins", "#"))
+
+    def test_write_past_max_tape_prunes(self):
+        verdict, labels = _graph_search(SetOracle(), self.TAPE, {"f"}, max_tape=2)
+        assert verdict is Verdict.UNKNOWN and labels is None
+
+    def test_max_blocks_queries_are_taken(self):
+        verdict, labels = _graph_search(SetOracle(), self.CHAIN, {"c3"}, start="c0",
+                                        max_blocks=3)
+        assert verdict is Verdict.ACCEPT and labels == (("#ins", "#"),) * 3
+
+    def test_query_past_max_blocks_prunes(self):
+        verdict, _ = _graph_search(SetOracle(), self.CHAIN, {"c3"}, start="c0", max_blocks=2)
+        assert verdict is Verdict.UNKNOWN
+
+    def test_response_without_continuation_neither_prunes_nor_counts(self):
+        # an empty set answers -# to the test; only +# would go on
+        dead = {"s": [("q", "#test", "+#", "f")]}
+        assert _graph_search(SetOracle(), dead, {"f"}, max_blocks=0)[0] is Verdict.REJECT
+        beside = {"s": [("q", "#test", "+#", "f"), ("q", "#ins", "#", "t")],
+                  "t": [("q", "#test", "+#", "f")]}
+        verdict, labels = _graph_search(SetOracle(), beside, {"f"}, max_blocks=2)
+        assert verdict is Verdict.ACCEPT
+        assert labels == (("#ins", "#"), ("#test", "+#"))
+
+    def test_accept_needs_an_empty_tape(self):
+        pending = {"s": [("w", ("a",), "f")]}
+        assert _graph_search(SetOracle(), pending, {"f"})[0] is Verdict.REJECT
+        assert _graph_search(SetOracle(), pending, {"s"})[1] == ()
+
+    def test_accept_needs_an_accepting_oracle_state(self):
+        moves = {"s": [("q", "push(", "(", "o")], "o": [("q", "pop", ")", "c")]}
+        verdict, labels = _graph_search(DyckOracle(), moves, {"o", "c"})
+        assert verdict is Verdict.ACCEPT and labels == (("push(", "("),)
+        verdict, labels = _graph_search(DyckOracle(exact_d2=True), moves, {"o", "c"})
+        assert verdict is Verdict.ACCEPT and labels == (("push(", "("), ("pop", ")"))
+        assert _graph_search(DyckOracle(exact_d2=True), moves, {"o"})[0] is Verdict.REJECT
+
+    def test_labels_follow_the_path(self):
+        moves = {"s": [("w", ("a",), "t")], "t": [("q", "#ins", "#", "u")],
+                 "u": [("w", ("b",), "v")], "v": [("q", "#test", "-#", "f")]}
+        verdict, labels = _graph_search(SetOracle(), moves, {"f"})
+        assert verdict is Verdict.ACCEPT
+        assert labels == (("a",), ("#ins", "#"), ("b",), ("#test", "-#"))
