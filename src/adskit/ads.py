@@ -366,9 +366,6 @@ class RecodedOracle(ProtocolOracle):
             return None
         return self.inner.respond(state, decoded, q)
 
-    def canonical_key(self, state):
-        return self.inner.canonical_key(state)
-
     def accepting(self, state):
         return self.inner.accepting(state)
 

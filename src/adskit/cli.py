@@ -89,11 +89,18 @@ def _protocol_filter(arg: str):
     if arg == "set":
         return SetOracle()
     if arg.startswith("sis:"):
-        k = arg[len("sis:"):]
-        if not k.isdigit():
-            raise UsageError(f"bad filter {arg!r}")
-        return SingleInsertOracle(int(k))
+        return SingleInsertOracle(_k(arg))
     return None
+
+
+def _k(arg: str) -> int:
+    """K of a filter written name:K, a whole number of at least 1."""
+    k = arg.partition(":")[2]
+    if not k.isdigit():
+        raise UsageError(f"bad filter {arg!r}")
+    if int(k) < 1:
+        raise UsageError(f"bad filter {arg!r}: K must be at least 1, got {int(k)}")
+    return int(k)
 
 
 def _filter(arg: str):
@@ -101,7 +108,7 @@ def _filter(arg: str):
     if oracle is not None:
         return oracle
     if arg.startswith("per:") and arg[len("per:"):].isdigit():
-        return nrr_mod.PerKFilter(int(arg[len("per:"):]))
+        return nrr_mod.PerKFilter(_k(arg))
     raise UsageError(f"unknown filter {arg!r} "
                      "(expected dyck, dyck-exact, set, sis:K, or per:K)")
 

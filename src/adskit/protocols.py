@@ -2,12 +2,13 @@
 
 A protocol is a sequence of blocks u·q·r: a written word u over the
 write alphabet, one query symbol q, one response symbol r. An oracle is
-the behavioral side of an auxiliary data structure: it owns the alphabet,
-answers queries deterministically, and exposes a canonical key so search
-code can deduplicate behaviorally equal states.  `membership` replays one
-word block by block; `protocol_search` runs the same block rule over
-every run of a machine, and is the one search behind the storage-automaton
-simulator, the realizability search and the log-space query runs.
+the behavioral side of an auxiliary data structure: it owns the alphabet
+and answers queries deterministically.  Its states are hashable values
+that are never mutated, and equal states answer alike, so a search may
+merge them.  `membership` replays one word block by block;
+`protocol_search` runs the same block rule over every run of a machine,
+and is the one search behind the storage-automaton simulator, the
+realizability search and the log-space query runs.
 """
 from __future__ import annotations
 
@@ -116,10 +117,11 @@ def flatten_blocks(blocks) -> Word:
 class ProtocolOracle:
     """Deterministic responder defining a language of correct protocols.
 
-    States are opaque values handed back and forth; respond never mutates
-    its argument. respond returns (response, new state) or None when the
-    data structure has no legal answer (which a correct protocol can
-    never contain).
+    States are hashable values handed back and forth and never mutated;
+    equal states must give equal answers to every later query, so a
+    search may merge them.  respond returns (response, new state) or None
+    when the data structure has no legal answer (which a correct protocol
+    can never contain).
     """
 
     alphabet: ProtocolAlphabet
@@ -131,8 +133,9 @@ class ProtocolOracle:
     def respond(self, state, u: Word, q: str):
         raise NotImplementedError
 
-    def canonical_key(self, state) -> str:
-        raise NotImplementedError
+    def canonical_key(self, state):
+        """States are their own keys: equal states answer alike."""
+        return state
 
     def accepting(self, state) -> bool:
         """End-of-word condition; True except for exact-language variants."""
@@ -158,35 +161,33 @@ def protocol_search(start, oracle: ProtocolOracle, writes, asks, answers, is_fin
                     bounds: SearchBounds) -> tuple[Verdict, Optional[tuple]]:
     """Bounded search over the runs of a machine talking to an oracle.
 
-    Nodes are (control, tape, oracle key); the client supplies only its
+    Nodes are (control, tape, oracle state); the client supplies only its
     control moves.  writes(control) lists (tokens, next control) pairs,
     each appending its tokens to the tape; asks(control) lists the query
     symbols the control may issue; answers(control, q, r) lists the
     controls that go on once the oracle answered the tape and q with r.
     A query clears the tape and counts one block.  A node is a goal on an
-    empty tape, in a final control and an accepting oracle state.  Oracle
-    states are interned by canonical_key.  A write past max_tape prunes,
-    and so does a query that has a continuation once it would exceed
-    max_blocks; a response nothing continues from does neither.  Returns
-    bounded_search's verdict and, on ACCEPT, the path's labels: the
-    tokens of each write and the (q, r) pair of each query.
+    empty tape, in a final control and an accepting oracle state.  Runs
+    that meet in equal oracle states share a node.  A write past max_tape
+    prunes, and so does a query that has a continuation once it would
+    exceed max_blocks; a response nothing continues from does neither.
+    Returns bounded_search's verdict and, on ACCEPT, the path's labels:
+    the tokens of each write and the (q, r) pair of each query.
     """
-    ostates = {}
-    canonical_key, respond, accepting = oracle.canonical_key, oracle.respond, oracle.accepting
+    respond, accepting = oracle.respond, oracle.accepting
     max_tape, max_blocks = bounds.max_tape, bounds.max_blocks
 
     def is_goal(node):
-        control, tape, key = node
-        return not tape and is_final(control) and accepting(ostates[key])
+        control, tape, ostate = node
+        return not tape and is_final(control) and accepting(ostate)
 
     def successors(node, blocks):
-        control, tape, key = node
+        control, tape, ostate = node
         room = max_tape - len(tape)
         moves = []
         for tokens, nxt in writes(control):
-            moves.append(((nxt, tape + tokens, key), blocks, tokens)
+            moves.append(((nxt, tape + tokens, ostate), blocks, tokens)
                          if len(tokens) <= room else PRUNED)
-        ostate = ostates[key]
         for q in asks(control):
             answer = respond(ostate, tape, q)
             if answer is None:
@@ -198,17 +199,13 @@ def protocol_search(start, oracle: ProtocolOracle, writes, asks, answers, is_fin
             if blocks >= max_blocks:
                 moves.append(PRUNED)
                 continue
-            nkey = canonical_key(nstate)
-            ostates.setdefault(nkey, nstate)
             label = (q, r)
             for nxt in nexts:
-                moves.append(((nxt, (), nkey), blocks + 1, label))
+                moves.append(((nxt, (), nstate), blocks + 1, label))
         return moves
 
-    state = oracle.initial_state()
-    key = canonical_key(state)
-    ostates[key] = state
-    return bounded_search((start, (), key), successors, is_goal, bounds.max_configs)
+    return bounded_search((start, (), oracle.initial_state()), successors, is_goal,
+                          bounds.max_configs)
 
 
 # -- shipped oracles -----------------------------------------------------
@@ -246,9 +243,6 @@ class DyckOracle(ProtocolOracle):
             return closer, state[:-1]
         return None
 
-    def canonical_key(self, state):
-        return "".join(state)
-
     def accepting(self, state):
         return not self.exact_d2 or not state
 
@@ -275,10 +269,6 @@ class SetOracle(ProtocolOracle):
         if q == "#test":
             return ("+#" if u in state else "-#"), state
         return None
-
-    def canonical_key(self, state):
-        # the w: prefix keeps the stored empty word distinct from no word
-        return ";".join(sorted("w:" + ",".join(w) for w in state))
 
 
 def sigma_k(k: int) -> Alphabet:
@@ -314,9 +304,6 @@ class SingleInsertOracle(ProtocolOracle):
         if q == "test":
             return ("+" if state is not None and state == u else "-"), state
         return None
-
-    def canonical_key(self, state):
-        return "-" if state is None else "w:" + ",".join(state)
 
 
 def per_k_membership(word: Word, k: int) -> bool:

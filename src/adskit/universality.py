@@ -336,9 +336,6 @@ class ProtXOracle(ProtocolOracle):
         answer = "+" if l_membership("".join(u), self.x, self.cache) else "-"
         return (answer, state)
 
-    def canonical_key(self, state) -> str:
-        return ""
-
 
 def forward_reduce(x: str) -> Word:
     """Protocol word sq(x) # + which is correct exactly when x is a member."""

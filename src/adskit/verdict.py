@@ -41,12 +41,15 @@ class SearchBounds:
     max_tape: int = 24
 
     def __post_init__(self):
-        if self.max_configs < 1 or self.max_blocks < 0 or self.max_tape < 0:
-            raise ValueError("search bounds must be positive")
+        for name, low in (("max_configs", 1), ("max_blocks", 0), ("max_tape", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name.replace('_', '-')} must be at least {low}, "
+                                 f"got {value}")
 
     @classmethod
     def parse(cls, text: str) -> "SearchBounds":
-        """Parse 'max-configs=N,max-blocks=N,max-tape=N' (all parts optional)."""
+        """Parse 'max-configs=N,max-blocks=N,max-tape=N'; each part optional, once at most."""
         kwargs = {}
         names = {"max-configs": "max_configs", "max-blocks": "max_blocks", "max-tape": "max_tape"}
         for part in text.split(","):
@@ -56,6 +59,8 @@ class SearchBounds:
             key, _, value = part.partition("=")
             if names.get(key) is None or not value.lstrip("-").isdigit():
                 raise ValueError(f"bad bounds component {part!r}")
+            if names[key] in kwargs:
+                raise ValueError(f"bounds component {key} given twice")
             kwargs[names[key]] = int(value)
         return cls(**kwargs)
 

@@ -308,7 +308,11 @@ class TestExitCodes:
           "--trials", "-5"], "--trials"),
         (["protocol", "fuzz", "--oracle", "set", "--axiom", "v",
           "--max-len", "-1"], "--max-len"),
-    ], ids=["step-cap", "cap", "trials", "max-len"])
+        (["nrr", "decide", "loop.nfa", "--filter", "per:0"], "per:0"),
+        (["nrr", "decide", "loop.nfa", "--filter", "sis:0"], "sis:0"),
+        (["ads", "simulate", "ins.ads", "a", "--oracle", "sis:0"], "sis:0"),
+    ], ids=["step-cap", "cap", "trials", "max-len", "filter-per", "filter-sis",
+            "oracle-sis"])
     def test_count_below_range_is_usage_error(self, capsys, files, argv, flag):
         code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
         assert code == 64 and flag in err and out == ""
@@ -316,6 +320,16 @@ class TestExitCodes:
     def test_bad_bounds_is_usage_error(self, capsys, files):
         assert run(capsys, "ads", "simulate", files["ins.ads"], "a",
                    "--oracle", "set", "--bounds", "max-configs=x")[0] == 64
+
+    @pytest.mark.parametrize("bounds, message", [
+        ("max-blocks=-1", "max-blocks must be at least 0, got -1"),
+        ("max-tape=1,max-tape=2", "max-tape given twice"),
+    ], ids=["negative", "repeated"])
+    def test_bounds_out_of_range_or_repeated_is_usage_error(self, capsys, files,
+                                                            bounds, message):
+        code, out, err = run(capsys, "ads", "simulate", files["ins.ads"], "a",
+                             "--oracle", "set", "--bounds", bounds)
+        assert code == 64 and message in err and out == ""
 
 
 class TestReports:

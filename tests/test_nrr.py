@@ -246,6 +246,30 @@ class TestDyckDecider:
                 long_witnesses[exact] += len(least) >= 6
         assert long_witnesses[False] >= 35 and long_witnesses[True] >= 25, long_witnesses
 
+    def test_block_instances_agree_with_generic(self):
+        # block-structured witnesses push and pop through several blocks,
+        # so the generic search merges many equal tuple-valued stacks
+        rng = random.Random(408)
+        definite = long_witnesses = 0
+        for _ in range(30):
+            a, _ = random_bracket_nfa(rng, DYCK_ALPHA)
+            for exact in (False, True):
+                fast = nreg_dyck(a, exact_d2=exact)
+                slow = nreg_generic(NrrInstance(a, DyckOracle(exact)),
+                                    SearchBounds(max_configs=20_000))
+                if slow.verdict is Verdict.UNKNOWN:
+                    continue
+                definite += 1
+                assert fast.verdict is slow.verdict
+                if fast.verdict is Verdict.ACCEPT:
+                    assert a.accepts(slow.witness)
+                    assert membership(DyckOracle(exact), slow.witness)
+                    # nreg_dyck's witness is the least under (len(w), w)
+                    assert ((len(fast.witness), fast.witness)
+                            <= (len(slow.witness), slow.witness))
+                    long_witnesses += len(fast.witness) >= 6
+        assert definite >= 45 and long_witnesses >= 18, (definite, long_witnesses)
+
     def test_agrees_with_generic_and_never_unknown(self):
         rng = random.Random(402)
         compared = 0

@@ -329,6 +329,24 @@ class TestProtocolSearch:
     # three empty-tape inserts in a row
     CHAIN = {f"c{i}": [("q", "#ins", "#", f"c{i + 1}")] for i in range(3)}
 
+    # inserting a then b and b then a meet in m holding {a, b}; the tests
+    # after m answer -# down a chain that never reaches a final control
+    DIAMOND = {"s": [("w", ("a",), "a1"), ("w", ("b",), "b1")],
+               "a1": [("q", "#ins", "#", "a2")], "a2": [("w", ("b",), "a3")],
+               "a3": [("q", "#ins", "#", "m")],
+               "b1": [("q", "#ins", "#", "b2")], "b2": [("w", ("a",), "b3")],
+               "b3": [("q", "#ins", "#", "m")],
+               "m": [("q", "#test", "-#", "c1")], "c1": [("q", "#test", "-#", "c2")],
+               "c2": [("q", "#test", "-#", "c3")]}
+
+    def test_equal_oracle_states_share_a_node(self):
+        # s, a1-a3, b1-b3, one m and c1-c3: eleven nodes when the two
+        # {a, b} sets merge, fifteen if each path kept its own
+        assert _graph_search(SetOracle(), self.DIAMOND, {"f"},
+                             max_configs=11) == (Verdict.REJECT, None)
+        assert _graph_search(SetOracle(), self.DIAMOND, {"f"},
+                             max_configs=10) == (Verdict.UNKNOWN, None)
+
     def test_write_up_to_max_tape_is_taken(self):
         verdict, labels = _graph_search(SetOracle(), self.TAPE, {"f"}, max_tape=3)
         assert verdict is Verdict.ACCEPT

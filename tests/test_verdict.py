@@ -1,4 +1,6 @@
-from adskit.verdict import PRUNED, Verdict, bounded_search, explore
+import pytest
+
+from adskit.verdict import PRUNED, SearchBounds, Verdict, bounded_search, explore
 
 
 def search(graph, goals=(), max_configs=100):
@@ -34,6 +36,25 @@ class TestVerdicts:
 
     def test_start_goal_has_empty_path(self):
         assert search(CYCLE, goals={"s"}) == (Verdict.ACCEPT, ())
+
+
+class TestSearchBounds:
+    @pytest.mark.parametrize("text, message", [
+        ("max-blocks=-1", "max-blocks must be at least 0, got -1"),
+        ("max-tape=-2", "max-tape must be at least 0, got -2"),
+        ("max-configs=0", "max-configs must be at least 1, got 0"),
+    ])
+    def test_out_of_range_component_is_named(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            SearchBounds.parse(text)
+
+    def test_zero_blocks_and_tape_are_allowed(self):
+        assert SearchBounds.parse("max-blocks=0,max-tape=0") == SearchBounds(
+            max_blocks=0, max_tape=0)
+
+    def test_repeated_component_is_rejected(self):
+        with pytest.raises(ValueError, match="max-tape given twice"):
+            SearchBounds.parse("max-tape=1,max-tape=2")
 
 
 class TestCheaperRevisits:
