@@ -8,6 +8,7 @@ the internal epsilon label None.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import CapExceeded
@@ -15,6 +16,9 @@ from .verdict import explore
 
 EPSILON_TOKEN = "eps"
 DEFAULT_ENUM_CAP = 10**6
+# (mask, symbol) entries one automaton's step cache may hold; once full it
+# stops inserting, so stepping never grows memory past this
+STEP_CACHE_ENTRIES = 1 << 16
 
 Word = tuple[str, ...]
 Transition = tuple[str, Optional[str], str]
@@ -76,7 +80,8 @@ class Nfa:
     Immutable by convention, so an operation that would rebuild a plain
     Nfa unchanged (trim, eliminate_eps) returns the automaton itself.
     Transitions are (src, symbol-or-None, dst) triples where None is
-    the epsilon label.
+    the epsilon label.  `step` runs on state sets held as bitmasks of
+    `core`, the automaton compiled on first use.
     """
 
     def __init__(self, states, alphabet: Alphabet, transitions, initial, accepting):
@@ -97,7 +102,7 @@ class Nfa:
             if sym is not None and sym not in alphabet:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
         self._out = {}
-        for src, sym, dst in sorted(self.transitions, key=repr):
+        for src, sym, dst in self.transitions:
             self._out.setdefault(src, []).append((sym, dst))
 
     def __eq__(self, other):
@@ -122,6 +127,11 @@ class Nfa:
 
     # -- run semantics ------------------------------------------------
 
+    @cached_property
+    def core(self) -> "Core":
+        """The automaton compiled for stepping, built on first use."""
+        return Core(self)
+
     def eps_closure(self, states: Iterable[str]) -> frozenset:
         seen = set(states)
         stack = list(seen)
@@ -133,25 +143,35 @@ class Nfa:
                     stack.append(dst)
         return frozenset(seen)
 
-    def step(self, states: frozenset, sym: str) -> frozenset:
-        """One symbol move from an epsilon-closed state set, closing the result."""
-        hit = set()
-        for s in states:
-            for label, dst in self._out.get(s, ()):
-                if label == sym:
-                    hit.add(dst)
-        return self.eps_closure(hit)
+    def step(self, mask: int, sym: str) -> int:
+        """One symbol move from an epsilon-closed state set, closing the result.
+
+        Sets are bitmasks over `core.states`; sym must be in the alphabet.
+        """
+        core = self.core
+        row, memo = core.steps[sym]
+        hit = memo.get(mask)
+        if hit is None:
+            hit, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                hit |= row[low.bit_length() - 1]
+                rest ^= low
+            if core.cached < STEP_CACHE_ENTRIES:
+                memo[mask] = hit
+                core.cached += 1
+        return hit
 
     def accepts(self, word: Word) -> bool:
         for sym in word:
             if sym not in self.alphabet:
                 raise ValueError(f"symbol {sym!r} not in alphabet")
-        current = self.eps_closure([self.initial])
+        current = self.core.start
         for sym in word:
             current = self.step(current, sym)
             if not current:
                 return False
-        return bool(current & self.accepting)
+        return bool(current & self.core.accepting)
 
     # -- structural operations ----------------------------------------
 
@@ -201,21 +221,21 @@ class Nfa:
         Raises CapExceeded once more than `cap` live word prefixes have
         been examined.
         """
-        core = self.trim()
+        trimmed = self.trim()
+        final = trimmed.core.accepting
         found: list[Word] = []
-        start = core.eps_closure([core.initial])
-        level: dict[Word, frozenset] = {(): start} if start else {}
+        level: dict[Word, int] = {(): trimmed.core.start}
         examined = len(level)
         for length in range(max_len + 1):
-            accepted = [w for w, sts in level.items() if sts & core.accepting]
+            accepted = [w for w, sts in level.items() if sts & final]
             accepted.sort(key=self.alphabet.word_key)
             found.extend(accepted)
             if length == max_len:
                 break
-            nxt: dict[Word, frozenset] = {}
+            nxt: dict[Word, int] = {}
             for word, sts in level.items():
                 for sym in self.alphabet:
-                    target = core.step(sts, sym)
+                    target = trimmed.step(sts, sym)
                     if target:
                         nxt[word + (sym,)] = target
                         examined += 1
@@ -245,6 +265,50 @@ class Nfa:
                     if sym is not None:
                         transitions.add((s, sym, dst))
         return Nfa(self.states, self.alphabet, transitions, self.initial, accepting)
+
+
+class Core:
+    """An Nfa compiled for stepping.
+
+    A state set is an int whose bit i stands for states[i], the i-th state
+    in sorted order, so walking a mask's bits upwards lists its states
+    sorted.  steps[sym] pairs the row of sym, whose entry i is the
+    epsilon-closed successor set of states[i], with the memo of Nfa.step
+    results on sym; the memos hold `cached` entries in all, at most
+    STEP_CACHE_ENTRIES.
+    """
+
+    __slots__ = ("states", "closure", "start", "accepting", "steps", "cached")
+
+    def __init__(self, a: Nfa):
+        self.states = tuple(sorted(a.states))
+        index = {s: i for i, s in enumerate(self.states)}
+
+        def to_mask(states):
+            return sum(1 << index[s] for s in states)
+
+        # closure[i] is the epsilon closure of states[i]
+        self.closure = tuple(to_mask(a.eps_closure([s])) for s in self.states)
+        self.start = self.closure[index[a.initial]]
+        self.accepting = to_mask(a.accepting)
+        self.steps = {sym: ([0] * len(self.states), {}) for sym in a.alphabet}
+        for src, sym, dst in a.transitions:
+            if sym is not None:
+                self.steps[sym][0][index[src]] |= self.closure[index[dst]]
+        self.cached = 0
+
+    def names(self, mask: int) -> list[str]:
+        """The states of a mask, in sorted order."""
+        return [self.states[i] for i in bits(mask)]
+
+
+def bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 class Dfa(Nfa):
     """Deterministic (possibly partial) automaton.

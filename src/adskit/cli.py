@@ -96,7 +96,7 @@ def _protocol_filter(arg: str):
 def _k(arg: str) -> int:
     """K of a filter written name:K, a whole number of at least 1."""
     k = arg.partition(":")[2]
-    if not k.isdigit():
+    if not k.isdecimal():
         raise UsageError(f"bad filter {arg!r}")
     if int(k) < 1:
         raise UsageError(f"bad filter {arg!r}: K must be at least 1, got {int(k)}")
@@ -107,7 +107,7 @@ def _filter(arg: str):
     oracle = _protocol_filter(arg)
     if oracle is not None:
         return oracle
-    if arg.startswith("per:") and arg[len("per:"):].isdigit():
+    if arg.startswith("per:") and arg[len("per:"):].isdecimal():
         return nrr_mod.PerKFilter(_k(arg))
     raise UsageError(f"unknown filter {arg!r} "
                      "(expected dyck, dyck-exact, set, sis:K, or per:K)")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .ads import AdsAutomaton, extractor, m_prot, compose_with_fst
-from .automata import Alphabet, Dfa, Nfa, Word, universal_nfa
+from .automata import Alphabet, Dfa, Nfa, Word, bits, universal_nfa
 from .protocols import (
     DyckOracle,
     ProtocolAlphabet,
@@ -88,11 +88,11 @@ def _validated(inst: NrrInstance, witness: Word) -> NrrAnswer:
 def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswer:
     """Breadth-first intersection search for oracle filters.
 
-    The control of a node is the NFA state set; `protocol_search` adds
-    the write word of the open block and the oracle state.  A write
-    reads its one token, a query answered by r reads q then r.  No is
-    reported only when the whole space was exhausted without touching a
-    bound.
+    The control of a node is the NFA state set as a step mask;
+    `protocol_search` adds the write word of the open block and the
+    oracle state.  A write reads its one token, a query answered by r
+    reads q then r.  No is reported only when the whole space was
+    exhausted without touching a bound.
     """
     o = inst.filter
     if not isinstance(o, ProtocolOracle):
@@ -101,7 +101,7 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
     a = inst.automaton.trim()
     if not a.accepting:
         return NrrAnswer(Verdict.REJECT)
-    step, accepting = a.step, a.accepting
+    step, accepting = a.step, a.core.accepting
     tokens = [((sym,), sym) for sym in o.alphabet.wr_symbols]
     queries = tuple(o.alphabet.gamma_query)
 
@@ -121,10 +121,9 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
         return (nxt,) if nxt else ()
 
     def is_final(states):
-        return not accepting.isdisjoint(states)
+        return states & accepting
 
-    verdict, labels = protocol_search(a.eps_closure([a.initial]), o, writes, asks, answers,
-                                      is_final, bounds)
+    verdict, labels = protocol_search(a.core.start, o, writes, asks, answers, is_final, bounds)
     if verdict is Verdict.ACCEPT:
         return _validated(inst, tuple(tok for part in labels for tok in part))
     return NrrAnswer(verdict)
@@ -135,10 +134,10 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
 
 def _pair_edges(a: Nfa, first: str, second: str) -> list:
     """State pairs connected by reading the two tokens (with closures)."""
-    edges = []
-    for p in sorted(a.states):
-        reach = a.step(a.step(a.eps_closure([p]), first), second)
-        for q in sorted(reach):
+    core, edges = a.core, []
+    for p, closed in zip(core.states, core.closure):
+        reach = a.step(a.step(closed, first), second)
+        for q in core.names(reach):
             edges.append((p, q))
     return edges
 
@@ -177,8 +176,8 @@ def nreg_dyck(a: Nfa, exact_d2: bool = False) -> NrrAnswer:
             best[kind, p, q] = key
             heapq.heappush(heap, (*key, kind, p, q))
 
-    for p in sorted(a.states):
-        for q in sorted(a.eps_closure([p])):
+    for p, closed in zip(a.core.states, a.core.closure):
+        for q in a.core.names(closed):
             offer("B", p, q, ())
     if not exact_d2:
         offer("R", a.initial, a.initial, ())
@@ -227,24 +226,25 @@ def nreg_perk(a: Nfa, k: int, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswe
     if not a.alphabet.same_symbols(filt.alphabet):
         raise ValueError("automaton alphabet must match the copy-filter alphabet")
     digits = tuple(sigma_k(k))
+    core = a.core
 
     def accepts_via(node) -> bool:
-        rel = dict(node)
-        current = a.eps_closure([a.initial])
+        current = core.start
         for _ in range(k):
-            after_v = frozenset().union(*(rel[p] for p in current)) if current else frozenset()
+            after_v = 0
+            for i in bits(current):
+                after_v |= node[i]
             current = a.step(after_v, "#")
             if not current:
                 return False
-        return bool(current & a.accepting)
+        return bool(current & core.accepting)
 
     def successors(node, _cost):
         for sym in digits:
-            yield tuple((p, a.step(reach, sym)) for p, reach in node), 0, sym
+            yield tuple(a.step(reach, sym) for reach in node), 0, sym
 
-    # a node is the relation as sorted (state, reachable set) pairs
-    start = tuple((p, a.eps_closure([p])) for p in sorted(a.states))
-    verdict, v = bounded_search(start, successors, accepts_via, bounds.max_configs)
+    # a node is the relation: the step mask each state reaches, in core.states order
+    verdict, v = bounded_search(core.closure, successors, accepts_via, bounds.max_configs)
     if verdict is Verdict.ACCEPT:
         return _validated(NrrInstance(a, filt), (v + ("#",)) * k)
     return NrrAnswer(verdict)

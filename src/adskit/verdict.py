@@ -57,7 +57,7 @@ class SearchBounds:
             if not part:
                 continue
             key, _, value = part.partition("=")
-            if names.get(key) is None or not value.lstrip("-").isdigit():
+            if names.get(key) is None or not value.lstrip("-").isdecimal():
                 raise ValueError(f"bad bounds component {part!r}")
             if names[key] in kwargs:
                 raise ValueError(f"bounds component {key} given twice")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from adskit import automata
 from adskit.automata import (
     Alphabet,
     Dfa,
@@ -258,6 +259,47 @@ class TestRandomizedAgainstOracles:
             words = set(a.enumerate_words(3))
             for word in brute_words(universal_nfa(a.alphabet), 3):
                 assert a.accepts(word) == (word in words)
+
+
+class TestCompiledStep:
+    def test_step_reaches_the_states_some_path_reaches(self):
+        rng = random.Random(37)
+        for _ in range(60):
+            a = random_nfa(rng, eps_prob=0.3)
+            for word in brute_words(universal_nfa(a.alphabet), 4):
+                mask = a.core.start
+                for sym in word:
+                    mask = a.step(mask, sym)
+                want = {q for q in a.states
+                        if path_accepts(a.sub_automaton(a.initial, q), word)}
+                assert a.core.names(mask) == sorted(want)
+
+    def test_cache_stays_within_budget(self):
+        # eps-free, so every mask is closed: 2 symbols x 2^16 masks is
+        # twice the budget; the names sort in index order, so bit i is q{i}
+        n = 16
+        states = [f"q{i:02d}" for i in range(n)]
+        moves = {(states[i], "a", states[(i + 1) % n]) for i in range(n)}
+        moves |= {(states[i], "b", states[(3 * i) % n]) for i in range(n)}
+        moves |= {(states[i], "b", states[(i + 5) % n]) for i in range(0, n, 2)}
+        a = Nfa(states, AB, moves, states[0], {states[-1]})
+        assert 2 * 2**n > automata.STEP_CACHE_ENTRIES
+        # reference[sym][mask], built up one lowest bit at a time
+        reference = {sym: [0] * 2**n for sym in AB}
+        for src, sym, dst in moves:
+            reference[sym][1 << states.index(src)] |= 1 << states.index(dst)
+        for table in reference.values():
+            for mask in range(1, 2**n):
+                low = mask & -mask
+                table[mask] = table[low] | table[mask ^ low]
+
+        for _sweep in range(2):
+            for mask in range(2**n):
+                for sym in AB:
+                    assert a.step(mask, sym) == reference[sym][mask]
+                    assert a.core.cached <= automata.STEP_CACHE_ENTRIES
+            held = sum(len(memo) for _, memo in a.core.steps.values())
+            assert held == a.core.cached == automata.STEP_CACHE_ENTRIES
 
 
 class TestDfa:

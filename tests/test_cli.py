@@ -215,6 +215,44 @@ trans m7.1 ) b2
 trans m7.2 ( b6
 """
 
+# 10-state automaton over the set protocol alphabet; the set-filter search
+# finds a 17-token witness
+SEEDED_SET_NFA = """\
+type nfa
+alphabet a b #ins #out #test # +# -#
+states s0 s1 s2 s3 s4 s5 s6 s7 s8 s9
+initial s0
+accept s9
+trans s0 #test s1
+trans s0 a s4
+trans s0 b s6
+trans s1 # s5
+trans s1 a s2
+trans s1 a s6
+trans s2 # s3
+trans s2 #ins s0
+trans s2 #ins s5
+trans s3 +# s1
+trans s3 a s5
+trans s4 #ins s2
+trans s4 -# s1
+trans s4 a s1
+trans s5 +# s9
+trans s5 -# s4
+trans s5 a s4
+trans s6 #test s5
+trans s6 -# s0
+trans s6 -# s3
+trans s7 # s0
+trans s7 +# s8
+trans s8 +# s5
+trans s8 -# s8
+trans s8 a s2
+trans s9 # s5
+trans s9 #test s2
+trans s9 b s7
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -317,6 +355,16 @@ class TestExitCodes:
         code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
         assert code == 64 and flag in err and out == ""
 
+    @pytest.mark.parametrize("argv, named", [
+        (["protocol", "fuzz", "--oracle", "sis:\u00b2", "--axiom", "v"], "sis:\u00b2"),
+        (["nrr", "decide", "loop.nfa", "--filter", "per:\u00b2"], "per:\u00b2"),
+        (["ads", "simulate", "ins.ads", "a", "--oracle", "set",
+          "--bounds", "max-tape=\u00b2"], "max-tape=\u00b2"),
+    ], ids=["oracle-sis", "filter-per", "bounds"])
+    def test_non_decimal_digits_are_usage_errors(self, capsys, files, argv, named):
+        code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 64 and named in err and out == ""
+
     def test_bad_bounds_is_usage_error(self, capsys, files):
         assert run(capsys, "ads", "simulate", files["ins.ads"], "a",
                    "--oracle", "set", "--bounds", "max-configs=x")[0] == 64
@@ -361,6 +409,25 @@ class TestReports:
                                       text=True)
                 runs.append((done.returncode, done.stdout))
             assert runs[0] == runs[1], argv
+
+    def test_products_and_set_searches_ignore_hash_seed(self, tmp_path):
+        (tmp_path / "bracket.nfa").write_text(SEEDED_BRACKET_NFA)
+        (tmp_path / "set.nfa").write_text(SEEDED_SET_NFA)
+        commands = [
+            ["product", "bracket.nfa", "bracket.nfa", "--format", "dot"],
+            ["nrr", "decide", "set.nfa", "--filter", "set"],
+        ]
+        src = str(Path(adskit.__file__).resolve().parent.parent)
+        for argv in commands:
+            runs = []
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                done = subprocess.run([sys.executable, "-m", "adskit.cli", *argv],
+                                      cwd=tmp_path, env=env, capture_output=True,
+                                      text=True)
+                runs.append((done.returncode, done.stdout))
+            assert runs[0] == runs[1], argv
+            assert runs[0][0] == 0 and runs[0][1], argv
 
     def test_jsonl_mirrors_text(self, capsys, files):
         _, text, _ = run(capsys, "universality", "decide", files["uni.nfa"],

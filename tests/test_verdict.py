@@ -48,6 +48,11 @@ class TestSearchBounds:
         with pytest.raises(ValueError, match=message):
             SearchBounds.parse(text)
 
+    @pytest.mark.parametrize("text", ["max-tape=\u00b2", "max-configs=\u00b9\u2070"])
+    def test_non_decimal_digits_are_rejected(self, text):
+        with pytest.raises(ValueError, match=f"bad bounds component '{text}'"):
+            SearchBounds.parse(text)
+
     def test_zero_blocks_and_tape_are_allowed(self):
         assert SearchBounds.parse("max-blocks=0,max-tape=0") == SearchBounds(
             max_blocks=0, max_tape=0)
