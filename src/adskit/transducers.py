@@ -9,8 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .automata import Alphabet, Nfa, Word, pair_product, reading_rows
-from .verdict import PRUNED, explore
+from .automata import Alphabet, Nfa, Word, bits, pair_product, reading_rows
 
 
 class Fst:
@@ -37,7 +36,7 @@ class Fst:
                 if c not in output_alphabet:
                     raise ValueError(f"output symbol {c!r} not declared")
         self._out = {}
-        for src, sym, out, dst in sorted(self.transitions, key=repr):
+        for src, sym, out, dst in self.transitions:
             self._out.setdefault(src, []).append((sym, out, dst))
 
     @property
@@ -66,34 +65,85 @@ class Fst:
         return f"Fst(states={len(self.states)}, transitions={len(self.transitions)})"
 
     def apply(self, word: Word, output_cap: int = 64) -> "ApplyResult":
-        """All outputs of length <= output_cap for this input word.
+        """All outputs of length <= output_cap (at least 0) for this input word.
 
         Truncation is loud: if any run was cut because its output grew
         past the cap, the result says so instead of silently shrinking.
+        Any run counts, accepted or not: a move that would take an output
+        past the cap sets `truncated` even on a branch that never accepts.
         """
+        if output_cap < 0:
+            raise ValueError(f"output cap must be at least 0, got {output_cap}")
         for sym in word:
             if sym not in self.input_alphabet:
                 raise ValueError(f"input symbol {sym!r} not declared")
-
-        def successors(node):
-            # a list, not a generator: the walk at the cap cliff is faster
-            state, pos, out = node
-            moves = []
+        # A subset construction over the output side: each output w maps to
+        # the mask of (state, position) pairs that runs emitting exactly w
+        # reach, closed under moves that emit nothing.  Bit i is pairs[i].
+        pairs = [(self.initial, 0)]
+        index = {pairs[0]: 0}
+        # per pair: the targets of its silent moves, (emitted, target) of the others
+        silent, emits = [], []
+        for state, pos in pairs:  # the list is the queue
+            quiet, loud = [], []
             for sym, emitted, dst in self._out.get(state, ()):
                 if sym is None:
-                    nxt_pos = pos
+                    nxt = (dst, pos)
                 elif pos < len(word) and sym == word[pos]:
-                    nxt_pos = pos + 1
+                    nxt = (dst, pos + 1)
                 else:
                     continue
-                nxt_out = out + emitted
-                moves.append(PRUNED if len(nxt_out) > output_cap else (dst, nxt_pos, nxt_out))
-            return moves
+                j = index.get(nxt)
+                if j is None:
+                    j = index[nxt] = len(pairs)
+                    pairs.append(nxt)
+                if emitted:
+                    loud.append((emitted, j))
+                else:
+                    quiet.append(j)
+            silent.append(quiet)
+            emits.append(loud)
 
-        nodes, truncated = explore([(self.initial, 0, ())], successors)
-        return ApplyResult(frozenset(out for state, pos, out in nodes
-                                     if pos == len(word) and state in self.accepting),
-                           truncated)
+        closure = []
+        for i in range(len(pairs)):
+            mask, stack = 1 << i, [i]
+            while stack:
+                for j in silent[stack.pop()]:
+                    if not mask >> j & 1:
+                        mask |= 1 << j
+                        stack.append(j)
+            closure.append(mask)
+        final = sum(1 << i for i, (state, pos) in enumerate(pairs)
+                    if pos == len(word) and state in self.accepting)
+
+        # Every move out of a closed mask emits, so a word only feeds longer
+        # words: expanding the buckets shortest first completes each mask
+        # before it is read.  The memo is local, so it dies with the call.
+        memo = {}
+        buckets = {0: {(): closure[0]}}
+        outputs = []
+        truncated = False
+        while buckets:
+            length = min(buckets)
+            for out, mask in buckets.pop(length).items():
+                if mask & final:
+                    outputs.append(out)
+                step = memo.get(mask)
+                if step is None:
+                    merged = {}
+                    for i in bits(mask):
+                        for emitted, j in emits[i]:
+                            merged[emitted] = merged.get(emitted, 0) | closure[j]
+                    step = memo[mask] = list(merged.items())
+                for emitted, target in step:
+                    size = length + len(emitted)
+                    if size > output_cap:
+                        truncated = True
+                        continue
+                    level = buckets.setdefault(size, {})
+                    nxt = out + emitted
+                    level[nxt] = level.get(nxt, 0) | target
+        return ApplyResult(frozenset(outputs), truncated)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,38 @@ def fst_outputs(t, word, max_out):
     return results
 
 
+def fst_apply_ref(t, word, cap):
+    """Bounded relation image and its truncation flag, by DFS over triples.
+
+    Returns (words, truncated): the accepted outputs of length <= cap, and
+    whether any move out of a kept (state, pos, out) triple, on an accepting
+    run or not, would take the output past cap.
+    """
+    words = set()
+    truncated = False
+    seen = {(t.initial, 0, ())}
+    stack = [(t.initial, 0, ())]
+    while stack:
+        state, pos, out = stack.pop()
+        if pos == len(word) and state in t.accepting:
+            words.add(out)
+        for src, sym, emitted, dst in t.transitions:
+            if src != state:
+                continue
+            if sym is None:
+                nxt = (dst, pos, out + emitted)
+            elif pos < len(word) and sym == word[pos]:
+                nxt = (dst, pos + 1, out + emitted)
+            else:
+                continue
+            if len(nxt[2]) > cap:
+                truncated = True
+            elif nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return words, truncated
+
+
 def brute_ads_accepts(m, word, oracle, max_tape=24, max_keys=100_000):
     """Run-tree reachability for machines with a data structure.
 

@@ -253,6 +253,45 @@ trans s9 #test s2
 trans s9 b s7
 """
 
+# 5-state transducer with epsilon moves, silent moves and outputs of up to
+# three letters, and a 4-state automaton over its alphabet; letter_split,
+# compose and invert all make fresh and paired state names from them
+SEEDED_FST = """\
+type fst
+alphabet a b
+outalphabet a b
+states t0 t1 t2 t3 t4
+initial t0
+accept t0 t2
+trans t0 a a t2
+trans t0 a b,a t2
+trans t0 a b,a,b t1
+trans t0 b a t2
+trans t1 eps b,a,b t0
+trans t2 a a t1
+trans t2 b b t2
+trans t2 b - t2
+trans t2 b - t3
+trans t2 eps a,b,a t4
+"""
+
+SEEDED_AB_NFA = """\
+type nfa
+alphabet a b
+states s0 s1 s2 s3
+initial s0
+accept s2 s3
+trans s0 a s2
+trans s0 b s0
+trans s1 a s3
+trans s1 b s2
+trans s1 eps s0
+trans s2 a s0
+trans s2 a s3
+trans s2 eps s0
+trans s3 a s0
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
@@ -416,6 +455,29 @@ class TestReports:
         commands = [
             ["product", "bracket.nfa", "bracket.nfa", "--format", "dot"],
             ["nrr", "decide", "set.nfa", "--filter", "set"],
+        ]
+        src = str(Path(adskit.__file__).resolve().parent.parent)
+        for argv in commands:
+            runs = []
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                done = subprocess.run([sys.executable, "-m", "adskit.cli", *argv],
+                                      cwd=tmp_path, env=env, capture_output=True,
+                                      text=True)
+                runs.append((done.returncode, done.stdout))
+            assert runs[0] == runs[1], argv
+            assert runs[0][0] == 0 and runs[0][1], argv
+
+    def test_transducer_reports_ignore_hash_seed(self, tmp_path):
+        (tmp_path / "seeded.fst").write_text(SEEDED_FST)
+        (tmp_path / "seeded.nfa").write_text(SEEDED_AB_NFA)
+        commands = [
+            ["fst", "apply", "seeded.fst", "a,b,a", "--cap", "8"],
+            ["fst", "apply", "seeded.fst", "a,b,a", "--cap", "8", "--format", "jsonl"],
+            ["fst", "compose", "seeded.fst", "seeded.fst"],
+            ["fst", "invert", "seeded.fst"],
+            ["fst", "image", "seeded.fst", "seeded.nfa"],
+            ["fst", "preimage", "seeded.fst", "seeded.nfa"],
         ]
         src = str(Path(adskit.__file__).resolve().parent.parent)
         for argv in commands:

@@ -16,7 +16,7 @@ from adskit.transducers import (
 )
 
 from genrand import AB, random_fst, random_nfa
-from oracles import all_words, brute_words, fst_outputs
+from oracles import all_words, brute_words, fst_apply_ref, fst_outputs
 
 A = Alphabet(["a"])
 B = Alphabet(["b"])
@@ -65,6 +65,54 @@ class TestApply:
             for u in all_words(t.input_alphabet, 3):
                 r = t.apply(u, output_cap=8)
                 assert r.words == fst_outputs(t, u, 8)
+
+    def test_matches_reference_with_truncation(self):
+        rng = random.Random(211)
+        for _ in range(1100):
+            t = random_fst(rng, max_states=6, max_out=rng.randint(0, 3),
+                           eps_prob=rng.uniform(0, 0.6))
+            for u in all_words(t.input_alphabet, 3):
+                cap = rng.randint(0, 8)
+                r = t.apply(u, output_cap=cap)
+                assert (r.words, r.truncated) == fst_apply_ref(t, u, cap), (t.transitions, u, cap)
+
+    def test_silent_eps_cycle_is_not_truncation(self):
+        t = Fst({"0", "1"}, A, B, {("0", None, (), "1"), ("1", None, (), "0")}, "0", {"1"})
+        r = t.apply((), output_cap=2)
+        assert r.words == {()}
+        assert not r.truncated
+
+    def test_dead_branch_past_the_cap_truncates(self):
+        z = Alphabet(["z"])
+        t = Fst({"0", "dead"}, A, z, {("0", None, ("z", "z", "z"), "dead")}, "0", {"0"})
+        r = t.apply((), output_cap=2)
+        assert r.words == {()}
+        assert r.truncated
+
+    def test_two_letters_from_one_below_the_cap_are_cut(self):
+        xy = Alphabet(["x", "y"])
+        t = Fst({"0", "1", "2"}, A, xy,
+                {("0", "a", ("x",), "1"), ("1", "a", ("y", "y"), "2")}, "0", {"2"})
+        cut = t.apply(("a", "a"), output_cap=2)
+        assert cut.words == frozenset()
+        assert cut.truncated
+        whole = t.apply(("a", "a"), output_cap=3)
+        assert whole.words == {("x", "y", "y")}
+        assert not whole.truncated
+
+    def test_zero_cap(self):
+        t = Fst({"0", "1"}, A, B, {("0", None, (), "1"), ("1", "a", ("b",), "1")}, "0", {"1"})
+        empty = t.apply((), output_cap=0)
+        assert empty.words == {()}
+        assert not empty.truncated
+        r = t.apply(("a",), output_cap=0)
+        assert r.words == frozenset()
+        assert r.truncated
+
+    def test_negative_cap_is_rejected(self):
+        # every output, even the empty word, is longer than a negative cap
+        with pytest.raises(ValueError, match="output cap"):
+            identity_fst(AB).apply((), output_cap=-1)
 
 
 class TestCompose:
