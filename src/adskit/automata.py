@@ -221,28 +221,7 @@ class Nfa:
         Raises CapExceeded once more than `cap` live word prefixes have
         been examined.
         """
-        trimmed = self.trim()
-        final = trimmed.core.accepting
-        found: list[Word] = []
-        level: dict[Word, int] = {(): trimmed.core.start}
-        examined = len(level)
-        for length in range(max_len + 1):
-            accepted = [w for w, sts in level.items() if sts & final]
-            accepted.sort(key=self.alphabet.word_key)
-            found.extend(accepted)
-            if length == max_len:
-                break
-            nxt: dict[Word, int] = {}
-            for word, sts in level.items():
-                for sym in self.alphabet:
-                    target = trimmed.step(sts, sym)
-                    if target:
-                        nxt[word + (sym,)] = target
-                        examined += 1
-                        if examined > cap:
-                            raise CapExceeded(f"enumeration cap {cap} exceeded")
-            level = nxt
-        return found
+        return walk_words(self.trim(), {sym: (sym,) for sym in self.alphabet}, max_len, cap)[0]
 
     def sub_automaton(self, s1: str, s2: str) -> "Nfa":
         """Same graph re-rooted: initial s1, sole accepting state s2."""
@@ -308,6 +287,59 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def walk_words(a: Nfa, labels: dict, max_len: int,
+               cap: Optional[int] = None) -> tuple[list[Word], bool]:
+    """The words of length <= max_len that accepted runs of `a` spell when
+    symbol s spells the non-empty word labels[s], shortest first, and
+    whether some run, accepted or not, was cut for spelling a longer word.
+
+    Each word maps to the mask of the states its runs reach.  A move spells
+    at least one letter, so a word's mask is complete before the word is
+    expanded, and the words of length max_len are never expanded.  Symbols
+    are tried in the order of `labels`; with one-letter labels in alphabet
+    order each length comes out in lexicographic order.  Raises CapExceeded
+    once more than `cap` distinct words (the empty word included) are stored.
+    """
+    core = a.core
+    moves_of = {}  # mask -> its non-empty (label, target) moves
+    found: list[Word] = []
+    cut = False
+    buckets = {0: {(): core.start}} if max_len >= 0 else {}
+    stored = 1
+    while buckets:
+        length = min(buckets)
+        room = max_len - length
+        union = 0
+        for word, mask in buckets.pop(length).items():
+            union |= mask
+            if mask & core.accepting:
+                found.append(word)
+            if not room:
+                continue
+            moves = moves_of.get(mask)
+            if moves is None:
+                moves = moves_of[mask] = [
+                    (label, target) for sym, label in labels.items()
+                    if (target := a.step(mask, sym))]
+            for label, target in moves:
+                if len(label) > room:
+                    continue
+                level = buckets.setdefault(length + len(label), {})
+                nxt = word + label
+                held = level.get(nxt)
+                if held is None:
+                    stored += 1
+                    if cap is not None and stored > cap:
+                        raise CapExceeded(f"enumeration cap {cap} exceeded")
+                    level[nxt] = target
+                else:
+                    level[nxt] = held | target
+        # step distributes over union, so one step per symbol finds any cut run
+        cut = cut or any(a.step(union, sym) for sym, label in labels.items()
+                         if len(label) > room)
+    return found, cut
 
 
 class Dfa(Nfa):

@@ -296,9 +296,9 @@ def _cmd_protocol_fuzz(ns) -> int:
 
 def _cmd_ads_simulate(ns) -> int:
     oracle = _oracle(ns.oracle)
+    bounds = _bounds(ns.bounds)
     machine = load_ads(_read(ns.file), oracle.alphabet)
-    verdict = ads_mod.simulate(machine, _tokens(ns.word), oracle,
-                               bounds=_bounds(ns.bounds))
+    verdict = ads_mod.simulate(machine, _tokens(ns.word), oracle, bounds=bounds)
     return _verdict_report(verdict, ns.format)
 
 
@@ -325,9 +325,10 @@ def _cmd_nrr_decide(ns) -> int:
     if isinstance(filt, DyckOracle) and ns.bounds is not None:
         raise UsageError("--bounds applies to searched filters only; "
                          "the dyck filters are decided without bounds")
+    bounds = _bounds(ns.bounds)
     a = load_automaton(_read(ns.file))
     instance = nrr_mod.NrrInstance(a, filt)
-    answer = nrr_mod.decide(instance, bounds=_bounds(ns.bounds))
+    answer = nrr_mod.decide(instance, bounds=bounds)
     return _verdict_report(answer.verdict, ns.format, witness=answer.witness)
 
 
@@ -364,11 +365,12 @@ def _cmd_logtm_run(ns) -> int:
         raise UsageError("--advice applies to advice runs only, not with --oracle")
     if ns.oracle is None and ns.bounds is not None:
         raise UsageError("--bounds applies to oracle runs only; it needs --oracle")
+    oracle = None if ns.oracle is None else _oracle(ns.oracle)
+    bounds = _bounds(ns.bounds)
     tm = load_tm(_read(ns.file))
     word = _tokens(ns.word)
-    if ns.oracle is not None:
-        verdict = logtm_mod.run_with_protocol(tm, word, _oracle(ns.oracle),
-                                              bounds=_bounds(ns.bounds))
+    if oracle is not None:
+        verdict = logtm_mod.run_with_protocol(tm, word, oracle, bounds=bounds)
     else:
         # without --step-cap the run keeps run_with_advice's own default
         cap = {} if ns.step_cap is None else {"step_cap": ns.step_cap}
@@ -398,9 +400,9 @@ def _cmd_uni_decide(ns) -> int:
 
 
 def _cmd_uni_lmember(ns) -> int:
-    oracle = _oracle_x(ns.oracle_file)
     if any(ch not in "01" for ch in ns.word):
         raise UsageError(f"binary word expected, got {ns.word!r}")
+    oracle = _oracle_x(ns.oracle_file)
     ok = uni_mod.l_membership(ns.word, oracle)
     report = _Report(ns.format)
     report.add("member", "yes" if ok else "no")

@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .automata import Alphabet, Nfa, Word, bits, pair_product, reading_rows
+from .automata import Alphabet, Nfa, Word, pair_product, reading_rows, walk_words
+from .verdict import explore
 
 
 class Fst:
@@ -77,15 +78,14 @@ class Fst:
         for sym in word:
             if sym not in self.input_alphabet:
                 raise ValueError(f"input symbol {sym!r} not declared")
-        # A subset construction over the output side: each output w maps to
-        # the mask of (state, position) pairs that runs emitting exactly w
-        # reach, closed under moves that emit nothing.  Bit i is pairs[i].
-        pairs = [(self.initial, 0)]
-        index = {pairs[0]: 0}
-        # per pair: the targets of its silent moves, (emitted, target) of the others
-        silent, emits = [], []
-        for state, pos in pairs:  # the list is the queue
-            quiet, loud = [], []
+        # A subset construction over the output side: the runs on `word` form
+        # an automaton over the (state, position) pairs whose letters are
+        # the distinct non-empty emitted words, and a move emitting nothing
+        # is an epsilon move.  walk_words lists the words it spells.
+        letters, moves = {}, []
+
+        def successors(pair):
+            state, pos = pair
             for sym, emitted, dst in self._out.get(state, ()):
                 if sym is None:
                     nxt = (dst, pos)
@@ -93,56 +93,18 @@ class Fst:
                     nxt = (dst, pos + 1)
                 else:
                     continue
-                j = index.get(nxt)
-                if j is None:
-                    j = index[nxt] = len(pairs)
-                    pairs.append(nxt)
-                if emitted:
-                    loud.append((emitted, j))
-                else:
-                    quiet.append(j)
-            silent.append(quiet)
-            emits.append(loud)
+                letter = letters.setdefault(emitted, str(len(letters))) if emitted else None
+                moves.append((pair, letter, nxt))
+                yield nxt
 
-        closure = []
-        for i in range(len(pairs)):
-            mask, stack = 1 << i, [i]
-            while stack:
-                for j in silent[stack.pop()]:
-                    if not mask >> j & 1:
-                        mask |= 1 << j
-                        stack.append(j)
-            closure.append(mask)
-        final = sum(1 << i for i, (state, pos) in enumerate(pairs)
-                    if pos == len(word) and state in self.accepting)
-
-        # Every move out of a closed mask emits, so a word only feeds longer
-        # words: expanding the buckets shortest first completes each mask
-        # before it is read.  The memo is local, so it dies with the call.
-        memo = {}
-        buckets = {0: {(): closure[0]}}
-        outputs = []
-        truncated = False
-        while buckets:
-            length = min(buckets)
-            for out, mask in buckets.pop(length).items():
-                if mask & final:
-                    outputs.append(out)
-                step = memo.get(mask)
-                if step is None:
-                    merged = {}
-                    for i in bits(mask):
-                        for emitted, j in emits[i]:
-                            merged[emitted] = merged.get(emitted, 0) | closure[j]
-                    step = memo[mask] = list(merged.items())
-                for emitted, target in step:
-                    size = length + len(emitted)
-                    if size > output_cap:
-                        truncated = True
-                        continue
-                    level = buckets.setdefault(size, {})
-                    nxt = out + emitted
-                    level[nxt] = level.get(nxt, 0) | target
+        start = (self.initial, 0)
+        pairs, _ = explore([start], successors)
+        final = [(state, pos) for state, pos in pairs
+                 if pos == len(word) and state in self.accepting]
+        labels = {letter: emitted for emitted, letter in letters.items()}
+        # an alphabet is never empty: when no move emits, its one letter goes unused
+        runs = Nfa(pairs, Alphabet(labels or ["0"]), moves, start, final)
+        outputs, truncated = walk_words(runs, labels, output_cap)
         return ApplyResult(frozenset(outputs), truncated)
 
 

@@ -7,8 +7,9 @@ rule is applied; `protocols.protocol_search` runs every machine that talks
 to an oracle on it, and charges the tape and block bounds there as
 PRUNED moves.  `explore` is its exhaustive sibling: the one
 reachable-set walk behind every machine the package builds from a
-product or a configuration graph, with the same cap rule and a
-`truncated` flag in place of Unknown.
+product or a configuration graph, `Fst.apply`'s automaton of runs
+included, with the same cap rule and a `truncated` flag in place of
+Unknown.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ class SearchBounds:
             if not part:
                 continue
             key, _, value = part.partition("=")
-            if names.get(key) is None or not value.lstrip("-").isdecimal():
+            if names.get(key) is None or not value.removeprefix("-").isdecimal():
                 raise ValueError(f"bad bounds component {part!r}")
             if names[key] in kwargs:
                 raise ValueError(f"bounds component {key} given twice")

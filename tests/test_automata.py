@@ -12,6 +12,7 @@ from adskit.automata import (
     product_intersect,
     to_dot,
     universal_nfa,
+    walk_words,
 )
 from adskit.errors import CapExceeded
 
@@ -180,6 +181,66 @@ class TestEnumerate:
         u = universal_nfa(AB)
         with pytest.raises(CapExceeded):
             u.enumerate_words(30, cap=100)
+
+    def test_cap_counts_the_live_prefixes(self):
+        # q2 and q4 are dead, so the live prefixes up to length 3 are
+        # (), a, aa, ab, aaa and aab: six, and the words of length 3 are
+        # never expanded
+        moves = {("q0", "a", "q1"), ("q0", "b", "q2"), ("q1", "a", "q1"),
+                 ("q1", "b", "q3"), ("q2", "a", "q4")}
+        a = Nfa({"q0", "q1", "q2", "q3", "q4"}, AB, moves, "q0", {"q3"})
+        assert a.enumerate_words(3, cap=6) == [w("ab"), w("aab")]
+        with pytest.raises(CapExceeded):
+            a.enumerate_words(3, cap=5)
+
+    def test_negative_length_lists_nothing(self):
+        assert universal_nfa(AB).enumerate_words(-1) == []
+
+
+def one_letter(alphabet):
+    return {sym: (sym,) for sym in alphabet}
+
+
+# "ab" spells a and b in one move to x; "a" then "b" spell them through y to z
+SPLITS = Alphabet(["ab", "a", "b"])
+SPLIT_LABELS = {"ab": ("a", "b"), "a": ("a",), "b": ("b",)}
+
+
+def split_nfa(accepting):
+    moves = {("s", "ab", "x"), ("s", "a", "y"), ("y", "b", "z")}
+    return Nfa({"s", "x", "y", "z"}, SPLITS, moves, "s", accepting)
+
+
+class TestWalkWords:
+    @pytest.mark.parametrize("accepting", [{"x"}, {"z"}, {"x", "z"}])
+    def test_word_spelled_two_ways_is_listed_once(self, accepting):
+        assert walk_words(split_nfa(accepting), SPLIT_LABELS, 2) == ([w("ab")], False)
+
+    def test_dead_branch_past_max_len_is_cut(self):
+        # b leads to d, which never accepts but still reads another b
+        moves = {("s", "a", "t"), ("s", "b", "d"), ("d", "b", "e")}
+        a = Nfa({"s", "t", "d", "e"}, AB, moves, "s", {"t"})
+        assert walk_words(a, one_letter(AB), 1) == ([w("a")], True)
+        assert walk_words(a, one_letter(AB), 2) == ([w("a")], False)
+
+    def test_label_longer_than_the_room_left_is_cut(self):
+        assert walk_words(split_nfa({"x", "z"}), SPLIT_LABELS, 1) == ([], True)
+
+    def test_one_letter_labels_follow_alphabet_order(self):
+        rev = Alphabet(["b", "a"])
+        words, cut = walk_words(universal_nfa(rev), one_letter(rev), 2)
+        assert words == [(), w("b"), w("a"), w("bb"), w("ba"), w("ab"), w("aa")]
+        assert cut
+
+    def test_cap_counts_distinct_stored_words(self):
+        # (), a and ab: ab is stored once though two runs spell it
+        a = split_nfa({"z"})
+        assert walk_words(a, SPLIT_LABELS, 2, cap=3) == ([w("ab")], False)
+        with pytest.raises(CapExceeded):
+            walk_words(a, SPLIT_LABELS, 2, cap=2)
+
+    def test_negative_length_lists_nothing(self):
+        assert walk_words(universal_nfa(AB), one_letter(AB), -1)[0] == []
 
 
 class TestSubAutomaton:

@@ -399,9 +399,26 @@ class TestExitCodes:
         (["nrr", "decide", "loop.nfa", "--filter", "per:\u00b2"], "per:\u00b2"),
         (["ads", "simulate", "ins.ads", "a", "--oracle", "set",
           "--bounds", "max-tape=\u00b2"], "max-tape=\u00b2"),
-    ], ids=["oracle-sis", "filter-per", "bounds"])
+        (["ads", "simulate", "ins.ads", "a", "--oracle", "set",
+          "--bounds", "max-tape=--5"], "bad bounds component 'max-tape=--5'"),
+    ], ids=["oracle-sis", "filter-per", "bounds", "bounds-double-minus"])
     def test_non_decimal_digits_are_usage_errors(self, capsys, files, argv, named):
         code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 64 and named in err and out == ""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["logtm", "run", "missing.tm", "a", "--oracle", "bogus"], "bogus"),
+        (["logtm", "run", "missing.tm", "a", "--oracle", "set",
+          "--bounds", "max-tape=x"], "max-tape=x"),
+        (["ads", "simulate", "missing.ads", "a", "--oracle", "set",
+          "--bounds", "max-tape=x"], "max-tape=x"),
+        (["nrr", "decide", "missing.nfa", "--filter", "set",
+          "--bounds", "max-tape=x"], "max-tape=x"),
+        (["universality", "lmember", "012", "--oracle-file", "missing.members"], "012"),
+    ], ids=["logtm-oracle", "logtm-bounds", "ads-bounds", "nrr-bounds", "lmember-word"])
+    def test_usage_error_wins_over_unreadable_file(self, capsys, tmp_path, argv, named):
+        argv = [str(tmp_path / arg) if arg.startswith("missing.") else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
         assert code == 64 and named in err and out == ""
 
     def test_bad_bounds_is_usage_error(self, capsys, files):

@@ -48,7 +48,8 @@ class TestSearchBounds:
         with pytest.raises(ValueError, match=message):
             SearchBounds.parse(text)
 
-    @pytest.mark.parametrize("text", ["max-tape=\u00b2", "max-configs=\u00b9\u2070"])
+    @pytest.mark.parametrize("text", ["max-tape=\u00b2", "max-configs=\u00b9\u2070",
+                                      "max-tape=--5"])
     def test_non_decimal_digits_are_rejected(self, text):
         with pytest.raises(ValueError, match=f"bad bounds component '{text}'"):
             SearchBounds.parse(text)
