@@ -475,9 +475,9 @@ def product_intersect(a: Nfa, b: Nfa) -> Nfa:
     return Nfa(states, a.alphabet, [(s, sym, d) for s, sym, _, d in moves], initial, accepting)
 
 
-def to_dot(a: Nfa, title: str = "automaton") -> str:
+def to_dot(a: Nfa) -> str:
     """GraphViz rendering; accepting states are double circles."""
-    return dot_graph(title, a.states, a.accepting, a.initial,
+    return dot_graph("automaton", a.states, a.accepting, a.initial,
                      ((src, "ε" if sym is None else sym, dst) for src, sym, dst in a.transitions))
 
 

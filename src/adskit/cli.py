@@ -4,7 +4,10 @@ Every subcommand reads machine descriptions in the textual formats,
 prints a deterministic report, and signals its answer through the exit
 code: 0 yes/success, 1 no, 2 unknown, 64 usage errors, 65 malformed
 input or failed domain validation.  --format switches the report between
-plain text, DOT (machine-emitting commands only), and JSON lines.
+plain text and JSON lines; commands that print an automaton or a
+transducer also offer DOT.  The parser converts and checks every flag
+and binary-word argument, so a bad value is refused before any input is
+read; command bodies check only the rules that tie two flags together.
 """
 
 from __future__ import annotations
@@ -121,6 +124,20 @@ def _oracle(arg: str):
     return oracle
 
 
+def _binary(text: str) -> str:
+    """argparse type: a word over 0 and 1."""
+    if any(ch not in "01" for ch in text):
+        raise UsageError(f"binary word expected, got {text!r}")
+    return text
+
+
+def _triple_part(text: str) -> str:
+    """argparse type: a non-empty binary word, one component of a triple."""
+    if not _binary(text):
+        raise UsageError("triple components must be non-empty")
+    return text
+
+
 def _count(low: int):
     """argparse type: an integer that must be at least low."""
     def count(text: str) -> int:
@@ -131,9 +148,10 @@ def _count(low: int):
     return count
 
 
-def _bounds(text: Optional[str]) -> SearchBounds:
-    if text is None:
-        return DEFAULT_BOUNDS
+def _bounds(text: str) -> SearchBounds:
+    """argparse type for --bounds.  A parsed value is a new object, never
+    DEFAULT_BOUNDS itself, so `ns.bounds is not DEFAULT_BOUNDS` means the
+    flag was given."""
     try:
         return SearchBounds.parse(text)
     except ValueError as exc:
@@ -153,38 +171,23 @@ def _oracle_x(path: str) -> uni_mod.OracleX:
     return uni_mod.OracleX(members)
 
 
-class _Report:
-    """Collects key/value rows; renders text or JSON lines."""
-
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.rows = []
-
-    def add(self, key: str, value):
-        self.rows.append((key, value))
-
-    def emit(self):
-        if self.fmt == "dot":
-            raise UsageError("DOT output is only defined for machine-emitting commands")
-        if self.fmt == "jsonl":
-            print(json.dumps(dict(self.rows), ensure_ascii=False))
-        else:
-            for key, value in self.rows:
-                if isinstance(value, bool):
-                    value = "yes" if value else "no"
-                elif isinstance(value, (list, tuple)):
-                    value = " ".join(value) if value else "-"
-                print(f"{key}: {value}")
+def _report(fmt: str, rows, ok: bool = True) -> int:
+    """Print key/value rows as text lines or as one JSON line; exit yes if ok, else no."""
+    if fmt == "jsonl":
+        print(json.dumps(dict(rows), ensure_ascii=False))
+    else:
+        for key, value in rows:
+            if isinstance(value, bool):
+                value = "yes" if value else "no"
+            elif isinstance(value, (list, tuple)):
+                value = " ".join(value) if value else "-"
+            print(f"{key}: {value}")
+    return EX_YES if ok else EX_NO
 
 
 def _emit_machine(obj, fmt: str) -> int:
     if fmt == "dot":
-        if isinstance(obj, fst_mod.Fst):
-            print(fst_dot(obj))
-        elif isinstance(obj, Nfa):
-            print(to_dot(obj))
-        else:
-            raise UsageError("DOT output is only defined for automata and transducers")
+        print(fst_dot(obj) if isinstance(obj, fst_mod.Fst) else to_dot(obj))
         return EX_YES
     if isinstance(obj, fst_mod.Fst):
         text = dump_fst(obj)
@@ -201,14 +204,11 @@ def _emit_machine(obj, fmt: str) -> int:
     return EX_YES
 
 
-def _verdict_report(verdict: Verdict, fmt: str, witness=None, extra=()) -> int:
-    report = _Report(fmt)
-    report.add("verdict", verdict.value)
+def _verdict_report(verdict: Verdict, fmt: str, witness=None) -> int:
+    rows = [("verdict", verdict.value)]
     if verdict is Verdict.ACCEPT and witness is not None:
-        report.add("witness", list(witness))
-    for key, value in extra:
-        report.add(key, value)
-    report.emit()
+        rows.append(("witness", list(witness)))
+    _report(fmt, rows)
     return _VERDICT_EXIT[verdict]
 
 
@@ -219,10 +219,7 @@ def _cmd_accepts(ns) -> int:
     a = load_automaton(_read(ns.file))
     word = _tokens(ns.word)
     ok = a.accepts(word)
-    report = _Report(ns.format)
-    report.add("accepts", "yes" if ok else "no")
-    report.emit()
-    return EX_YES if ok else EX_NO
+    return _report(ns.format, [("accepts", "yes" if ok else "no")], ok)
 
 
 def _cmd_trim(ns) -> int:
@@ -238,15 +235,13 @@ def _cmd_product(ns) -> int:
 def _cmd_fst_apply(ns) -> int:
     t = load_fst(_read(ns.file))
     result = t.apply(_tokens(ns.word), output_cap=ns.cap)
-    report = _Report(ns.format)
     words = sorted(result.words, key=t.output_alphabet.word_key)
     if ns.format == "jsonl":
-        report.add("outputs", [list(w) for w in words])
+        outputs = [list(w) for w in words]
     else:
-        report.add("outputs", [",".join(w) if w else "-" for w in words])
-    report.add("truncated", result.truncated)
-    report.emit()
-    return EX_YES if words else EX_NO
+        outputs = [",".join(w) if w else "-" for w in words]
+    return _report(ns.format, [("outputs", outputs), ("truncated", result.truncated)],
+                   bool(words))
 
 
 def _cmd_fst_compose(ns) -> int:
@@ -272,20 +267,13 @@ def _cmd_fst_preimage(ns) -> int:
 
 
 def _cmd_protocol_member(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    ok = membership(oracle, _tokens(ns.word))
-    report = _Report(ns.format)
-    report.add("member", "yes" if ok else "no")
-    report.emit()
-    return EX_YES if ok else EX_NO
+    ok = membership(ns.oracle, _tokens(ns.word))
+    return _report(ns.format, [("member", "yes" if ok else "no")], ok)
 
 
 def _cmd_protocol_fuzz(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    report = axiom_fuzz(oracle, ns.axiom, trials=ns.trials,
+    report = axiom_fuzz(ns.oracle, ns.axiom, trials=ns.trials,
                         max_len=ns.max_len, seed=ns.seed)
-    if ns.format == "dot":
-        raise UsageError("DOT output is only defined for machine-emitting commands")
     if ns.format == "jsonl":
         print(json.dumps({"axiom": report.axiom, "trials": report.trials,
                           "violations": len(report.violations)}))
@@ -295,59 +283,50 @@ def _cmd_protocol_fuzz(ns) -> int:
 
 
 def _cmd_ads_simulate(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    bounds = _bounds(ns.bounds)
-    machine = load_ads(_read(ns.file), oracle.alphabet)
-    verdict = ads_mod.simulate(machine, _tokens(ns.word), oracle, bounds=bounds)
+    machine = load_ads(_read(ns.file), ns.oracle.alphabet)
+    verdict = ads_mod.simulate(machine, _tokens(ns.word), ns.oracle, bounds=ns.bounds)
     return _verdict_report(verdict, ns.format)
 
 
 def _cmd_ads_extract(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    machine = load_ads(_read(ns.file), oracle.alphabet)
+    machine = load_ads(_read(ns.file), ns.oracle.alphabet)
     return _emit_machine(ads_mod.extractor(machine), ns.format)
 
 
 def _cmd_ads_mprot(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    return _emit_machine(ads_mod.m_prot(oracle.alphabet, oracle), ns.format)
+    return _emit_machine(ads_mod.m_prot(ns.oracle.alphabet, ns.oracle), ns.format)
 
 
 def _cmd_ads_recode(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    machine = load_ads(_read(ns.file), oracle.alphabet)
+    if ns.format == "dot" and ns.emit == "machine":
+        raise UsageError("DOT output is only defined for automata and transducers")
+    machine = load_ads(_read(ns.file), ns.oracle.alphabet)
     recoded, decoder = ads_mod.two_letter_recode(machine)
     return _emit_machine(decoder if ns.emit == "decoder" else recoded, ns.format)
 
 
 def _cmd_nrr_decide(ns) -> int:
-    filt = _filter(ns.filter)
-    if isinstance(filt, DyckOracle) and ns.bounds is not None:
+    if isinstance(ns.filter, DyckOracle) and ns.bounds is not DEFAULT_BOUNDS:
         raise UsageError("--bounds applies to searched filters only; "
                          "the dyck filters are decided without bounds")
-    bounds = _bounds(ns.bounds)
     a = load_automaton(_read(ns.file))
-    instance = nrr_mod.NrrInstance(a, filt)
-    answer = nrr_mod.decide(instance, bounds=bounds)
+    answer = nrr_mod.decide(nrr_mod.NrrInstance(a, ns.filter), bounds=ns.bounds)
     return _verdict_report(answer.verdict, ns.format, witness=answer.witness)
 
 
 def _cmd_nrr_reduce_from_ads(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    machine = load_ads(_read(ns.file), oracle.alphabet)
+    machine = load_ads(_read(ns.file), ns.oracle.alphabet)
     return _emit_machine(nrr_mod.nonemptiness_to_nrr(machine), ns.format)
 
 
 def _cmd_nrr_reduce_to_ads(ns) -> int:
-    oracle = _oracle(ns.filter)
     a = load_automaton(_read(ns.file))
-    machine = nrr_mod.nrr_to_nonemptiness(a, oracle.alphabet, oracle)
+    machine = nrr_mod.nrr_to_nonemptiness(a, ns.filter.alphabet, ns.filter)
     return _emit_machine(machine, ns.format)
 
 
 def _cmd_nrr_member_to_reg(ns) -> int:
-    oracle = _oracle(ns.oracle)
-    machine = load_ads(_read(ns.file), oracle.alphabet)
+    machine = load_ads(_read(ns.file), ns.oracle.alphabet)
     dfa = nrr_mod.membership_to_reg(machine, _tokens(ns.word))
     return _emit_machine(dfa, ns.format)
 
@@ -363,14 +342,12 @@ def _cmd_logtm_run(ns) -> int:
         raise UsageError("--step-cap applies to advice runs only, not with --oracle")
     if ns.oracle is not None and ns.advice is not None:
         raise UsageError("--advice applies to advice runs only, not with --oracle")
-    if ns.oracle is None and ns.bounds is not None:
+    if ns.oracle is None and ns.bounds is not DEFAULT_BOUNDS:
         raise UsageError("--bounds applies to oracle runs only; it needs --oracle")
-    oracle = None if ns.oracle is None else _oracle(ns.oracle)
-    bounds = _bounds(ns.bounds)
     tm = load_tm(_read(ns.file))
     word = _tokens(ns.word)
-    if oracle is not None:
-        verdict = logtm_mod.run_with_protocol(tm, word, oracle, bounds=bounds)
+    if ns.oracle is not None:
+        verdict = logtm_mod.run_with_protocol(tm, word, ns.oracle, bounds=ns.bounds)
     else:
         # without --step-cap the run keeps run_with_advice's own default
         cap = {} if ns.step_cap is None else {"step_cap": ns.step_cap}
@@ -392,39 +369,23 @@ def _cmd_logtm_lambda_elim(ns) -> int:
 def _cmd_uni_decide(ns) -> int:
     a = load_automaton(_read(ns.file))
     answer = uni_mod.universality_decide(a, _oracle_x(ns.oracle_file))
-    report = _Report(ns.format)
-    report.add("nonempty", "yes" if answer.nonempty else "no")
-    report.add("oracle-calls", answer.oracle_calls)
-    report.emit()
-    return EX_YES if answer.nonempty else EX_NO
+    return _report(ns.format, [("nonempty", "yes" if answer.nonempty else "no"),
+                               ("oracle-calls", answer.oracle_calls)], answer.nonempty)
 
 
 def _cmd_uni_lmember(ns) -> int:
-    if any(ch not in "01" for ch in ns.word):
-        raise UsageError(f"binary word expected, got {ns.word!r}")
-    oracle = _oracle_x(ns.oracle_file)
-    ok = uni_mod.l_membership(ns.word, oracle)
-    report = _Report(ns.format)
-    report.add("member", "yes" if ok else "no")
-    report.emit()
-    return EX_YES if ok else EX_NO
+    ok = uni_mod.l_membership(ns.word, _oracle_x(ns.oracle_file))
+    return _report(ns.format, [("member", "yes" if ok else "no")], ok)
 
 
 def _cmd_uni_wparams(ns) -> int:
     entry = uni_mod.w_params(ns.a, ns.b, ns.c)
-    report = _Report(ns.format)
-    report.add("r", entry.r)
-    report.add("q", entry.q)
-    report.add("r-length", entry.r_length)
-    report.add("q-length", entry.q_length)
-    report.emit()
-    return EX_YES
+    return _report(ns.format, [("r", entry.r), ("q", entry.q),
+                               ("r-length", entry.r_length), ("q-length", entry.q_length)])
 
 
 def _cmd_uni_forward(ns) -> int:
     word = uni_mod.forward_reduce(ns.x)
-    if ns.format == "dot":
-        raise UsageError("DOT output is only defined for machine-emitting commands")
     if ns.format == "jsonl":
         print(json.dumps({"protocol": list(word)}))
     else:
@@ -435,8 +396,10 @@ def _cmd_uni_forward(ns) -> int:
 # -- parser wiring ---------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "dot", "jsonl"), default="text")
+def _add_format(p, dot: bool = False):
+    """--format; DOT only for commands that print an automaton or a transducer."""
+    p.add_argument("--format", choices=("text", "dot", "jsonl") if dot else ("text", "jsonl"),
+                   default="text")
 
 
 def _build_parser() -> _Parser:
@@ -446,18 +409,18 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("accepts", help="run an automaton on a word")
     p.add_argument("file")
     p.add_argument("word", nargs="*")
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(fn=_cmd_accepts)
 
     p = sub.add_parser("trim", help="drop useless states")
     p.add_argument("file")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_trim)
 
     p = sub.add_parser("product", help="intersection product of two automata")
     p.add_argument("file")
     p.add_argument("other")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_product)
 
     fst = sub.add_parser("fst", help="transducer operations").add_subparsers(
@@ -466,43 +429,43 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("word", nargs="*")
     p.add_argument("--cap", type=_count(0), default=64)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(fn=_cmd_fst_apply)
     p = fst.add_parser("compose")
     p.add_argument("file")
     p.add_argument("other")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_fst_compose)
     p = fst.add_parser("invert")
     p.add_argument("file")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_fst_invert)
     p = fst.add_parser("image")
     p.add_argument("file")
     p.add_argument("automaton")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_fst_image)
     p = fst.add_parser("preimage")
     p.add_argument("file")
     p.add_argument("automaton")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_fst_preimage)
 
     proto = sub.add_parser("protocol", help="protocol language checks").add_subparsers(
         dest="sub", required=True)
     p = proto.add_parser("member")
     p.add_argument("word", nargs="*")
-    p.add_argument("--oracle", required=True)
-    _add_common(p)
+    p.add_argument("--oracle", required=True, type=_oracle)
+    _add_format(p)
     p.set_defaults(fn=_cmd_protocol_member)
     p = proto.add_parser("fuzz")
-    p.add_argument("--oracle", required=True)
+    p.add_argument("--oracle", required=True, type=_oracle)
     p.add_argument("--axiom", required=True,
                    choices=("i", "ii", "iii", "iv", "v", "vi"))
     p.add_argument("--trials", type=_count(0), default=1000)
     p.add_argument("--max-len", type=_count(0), default=50)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(fn=_cmd_protocol_fuzz)
 
     ads = sub.add_parser("ads", help="storage-machine operations").add_subparsers(
@@ -510,54 +473,54 @@ def _build_parser() -> _Parser:
     p = ads.add_parser("simulate")
     p.add_argument("file")
     p.add_argument("word", nargs="*")
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--bounds")
-    _add_common(p)
+    p.add_argument("--oracle", required=True, type=_oracle)
+    p.add_argument("--bounds", type=_bounds, default=DEFAULT_BOUNDS)
+    _add_format(p)
     p.set_defaults(fn=_cmd_ads_simulate)
     p = ads.add_parser("extract")
     p.add_argument("file")
-    p.add_argument("--oracle", required=True)
-    _add_common(p)
+    p.add_argument("--oracle", required=True, type=_oracle)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_ads_extract)
     p = ads.add_parser("mprot")
-    p.add_argument("--oracle", required=True)
-    _add_common(p)
+    p.add_argument("--oracle", required=True, type=_oracle)
+    _add_format(p)
     p.set_defaults(fn=_cmd_ads_mprot)
     p = ads.add_parser("recode")
     p.add_argument("file")
-    p.add_argument("--oracle", required=True)
+    p.add_argument("--oracle", required=True, type=_oracle)
     p.add_argument("--emit", choices=("machine", "decoder"), default="machine")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_ads_recode)
 
     nrr = sub.add_parser("nrr", help="realizability instances").add_subparsers(
         dest="sub", required=True)
     p = nrr.add_parser("decide")
     p.add_argument("file")
-    p.add_argument("--filter", required=True)
-    p.add_argument("--bounds")
-    _add_common(p)
+    p.add_argument("--filter", required=True, type=_filter)
+    p.add_argument("--bounds", type=_bounds, default=DEFAULT_BOUNDS)
+    _add_format(p)
     p.set_defaults(fn=_cmd_nrr_decide)
     p = nrr.add_parser("reduce-from-ads")
     p.add_argument("file")
-    p.add_argument("--oracle", required=True)
-    _add_common(p)
+    p.add_argument("--oracle", required=True, type=_oracle)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_nrr_reduce_from_ads)
     p = nrr.add_parser("reduce-to-ads")
     p.add_argument("file")
-    p.add_argument("--filter", required=True)
-    _add_common(p)
+    p.add_argument("--filter", required=True, type=_oracle)
+    _add_format(p)
     p.set_defaults(fn=_cmd_nrr_reduce_to_ads)
     p = nrr.add_parser("member-to-reg")
     p.add_argument("file")
     p.add_argument("word", nargs="*")
-    p.add_argument("--oracle", required=True)
-    _add_common(p)
+    p.add_argument("--oracle", required=True, type=_oracle)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_nrr_member_to_reg)
     p = nrr.add_parser("filter-transfer")
     p.add_argument("file")
     p.add_argument("fst")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_nrr_filter_transfer)
 
     logtm = sub.add_parser("logtm", help="log-space machine runs").add_subparsers(
@@ -566,20 +529,20 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("word", nargs="*")
     p.add_argument("--advice")
-    p.add_argument("--oracle")
-    p.add_argument("--bounds")
+    p.add_argument("--oracle", type=_oracle)
+    p.add_argument("--bounds", type=_bounds, default=DEFAULT_BOUNDS)
     p.add_argument("--step-cap", type=_count(1))
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(fn=_cmd_logtm_run)
     p = logtm.add_parser("surface-nfa")
     p.add_argument("file")
     p.add_argument("word", nargs="*")
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_logtm_surface)
     p = logtm.add_parser("lambda-elim")
     p.add_argument("file")
     p.add_argument("--lam", default=logtm_mod.LAMBDA)
-    _add_common(p)
+    _add_format(p, dot=True)
     p.set_defaults(fn=_cmd_logtm_lambda_elim)
 
     uni = sub.add_parser("universality", help="graded-language reductions").add_subparsers(
@@ -587,22 +550,22 @@ def _build_parser() -> _Parser:
     p = uni.add_parser("decide")
     p.add_argument("file")
     p.add_argument("--oracle-file", required=True)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(fn=_cmd_uni_decide)
     p = uni.add_parser("lmember")
-    p.add_argument("word")
+    p.add_argument("word", type=_binary)
     p.add_argument("--oracle-file", required=True)
-    _add_common(p)
+    _add_format(p)
     p.set_defaults(fn=_cmd_uni_lmember)
     p = uni.add_parser("wparams")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    _add_common(p)
+    p.add_argument("a", type=_triple_part)
+    p.add_argument("b", type=_triple_part)
+    p.add_argument("c", type=_triple_part)
+    _add_format(p)
     p.set_defaults(fn=_cmd_uni_wparams)
     p = uni.add_parser("forward")
-    p.add_argument("x")
-    _add_common(p)
+    p.add_argument("x", type=_binary)
+    _add_format(p)
     p.set_defaults(fn=_cmd_uni_forward)
 
     return parser

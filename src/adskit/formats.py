@@ -87,13 +87,13 @@ class _Doc:
         _need(val == [expected_type], no,
               f"expected type {expected_type!r}, found {' '.join(val)!r}")
 
-    def one(self, key: str, minimum: int = 1) -> tuple[int, list[str]]:
+    def one(self, key: str) -> tuple[int, list[str]]:
         """The line number and tokens of the one `key` line."""
         rows = self.rows.pop(key, [])
         _need(len(rows) == 1, rows[0][0] if rows else 1,
               f"exactly one {key!r} line required")
         no, toks = rows[0]
-        _need(len(toks) >= minimum, no, f"{key!r} line needs at least {minimum} tokens")
+        _need(len(toks) >= 1, no, f"{key!r} line needs at least 1 tokens")
         return no, toks
 
     def maybe(self, key: str) -> tuple[int, Optional[list[str]]]:
@@ -201,11 +201,11 @@ def dump_fst(t: Fst) -> str:
     return "\n".join(out) + "\n"
 
 
-def fst_dot(t: Fst, title: str = "transducer") -> str:
+def fst_dot(t: Fst) -> str:
     """GraphViz rendering with in/out edge labels."""
     edges = ((src, f"{'ε' if sym is None else sym}/{'·'.join(word) if word else 'ε'}", dst)
              for src, sym, word, dst in t.transitions)
-    return dot_graph(title, t.states, t.accepting, t.initial, edges)
+    return dot_graph("transducer", t.states, t.accepting, t.initial, edges)
 
 
 # -- storage machines ------------------------------------------------------

@@ -346,15 +346,15 @@ class FuzzReport:
         return head
 
 
-def random_member(o: ProtocolOracle, rng: random.Random, max_blocks: int,
-                  max_u: int = 3) -> list[ProtocolBlock]:
+def random_member(o: ProtocolOracle, rng: random.Random,
+                  max_blocks: int) -> list[ProtocolBlock]:
     """Generate a correct protocol by walking the oracle."""
     pa = o.alphabet
     state = o.initial_state()
     blocks = []
     for _ in range(rng.randint(0, max_blocks)):
         u = tuple(rng.choice(pa.wr_symbols)
-                  for _ in range(rng.randint(0, max_u))) if pa.wr_symbols else ()
+                  for _ in range(rng.randint(0, 3))) if pa.wr_symbols else ()
         queries = list(pa.gamma_query.symbols)
         rng.shuffle(queries)
         placed = False

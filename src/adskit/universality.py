@@ -321,9 +321,9 @@ class ProtXOracle(ProtocolOracle):
     alphabet = PROT_X
     reset_symbols = ("r", "r")
 
-    def __init__(self, x_oracle, cache: Optional[WCache] = None):
+    def __init__(self, x_oracle):
         self.x = x_oracle
-        self.cache = cache if cache is not None else WCache()
+        self.cache = WCache()
 
     def initial_state(self):
         return ()
@@ -626,8 +626,7 @@ def _block_shape_nfa() -> Nfa:
                transitions, "b0", {"b0"})
 
 
-def universality_decide(a: Nfa, x_oracle,
-                        w_source: Optional[WSource] = None) -> UniversalityAnswer:
+def universality_decide(a: Nfa, x_oracle) -> UniversalityAnswer:
     """Does the automaton accept a correct protocol of the graded language?
 
     Summarizes every binary stretch by yes/no letters: an edge s -y-> s2
@@ -645,13 +644,11 @@ def universality_decide(a: Nfa, x_oracle,
         {(p, sym, d) for p, sym, d in flat.transitions if sym in ("0", "1")},
         flat.initial, flat.accepting)
     cache = WCache()
-    if w_source is None:
-        w_source = lambda n: w_words_up_to(n, cache)
     memo: dict = {}
     edges = {(p, sym, d) for p, sym, d in flat.transitions
              if sym in ("#", "+", "-", "r")}
     for s in sorted(flat.states):
-        dl, dlbar = _delta_both(binary, s, x_oracle, w_source, memo=memo, cache=cache)
+        dl, dlbar = _delta_both(binary, s, x_oracle, memo=memo, cache=cache)
         edges.update((s, "y", t) for t in dl)
         edges.update((s, "n", t) for t in dlbar)
     summarized = Nfa(flat.states, DECIDE_ALPHABET, edges, flat.initial, flat.accepting)

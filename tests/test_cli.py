@@ -293,13 +293,27 @@ trans s3 a s0
 """
 
 
+PAD_DFA = """\
+type dfa
+states d0 d1
+alphabet a Λ
+initial d0
+accept d1
+trans d0 a d1
+trans d1 a d0
+trans d0 Λ d0
+trans d1 Λ d1
+"""
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, text in [("dyck.nfa", DYCK_NFA), ("ab.nfa", AB_NFA),
                        ("dup.fst", DUP_FST), ("swap.fst", SWAP_FST),
                        ("ins.ads", INS_ADS), ("loop.nfa", WRITE_LOOP_NFA),
-                       ("even.tm", EVEN_TM), ("uni.nfa", UNI_NFA)]:
+                       ("even.tm", EVEN_TM), ("uni.nfa", UNI_NFA),
+                       ("pad.dfa", PAD_DFA)]:
         p = tmp_path / name
         p.write_text(text)
         paths[name] = str(p)
@@ -415,9 +429,23 @@ class TestExitCodes:
         (["nrr", "decide", "missing.nfa", "--filter", "set",
           "--bounds", "max-tape=x"], "max-tape=x"),
         (["universality", "lmember", "012", "--oracle-file", "missing.members"], "012"),
-    ], ids=["logtm-oracle", "logtm-bounds", "ads-bounds", "nrr-bounds", "lmember-word"])
+        (["accepts", "missing.nfa", "a", "--format", "dot"], "'dot'"),
+        (["nrr", "reduce-to-ads", "missing.nfa", "--filter", "set", "--format", "dot"],
+         "'dot'"),
+        (["ads", "recode", "missing.ads", "--oracle", "set", "--format", "dot"], "DOT"),
+    ], ids=["logtm-oracle", "logtm-bounds", "ads-bounds", "nrr-bounds", "lmember-word",
+            "accepts-dot", "reduce-to-ads-dot", "recode-machine-dot"])
     def test_usage_error_wins_over_unreadable_file(self, capsys, tmp_path, argv, named):
         argv = [str(tmp_path / arg) if arg.startswith("missing.") else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and named in err and out == ""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["universality", "forward", "012"], "binary word expected, got '012'"),
+        (["universality", "wparams", "0", "2", "0"], "binary word expected, got '2'"),
+        (["universality", "wparams", "0", "0", ""], "triple components must be non-empty"),
+    ], ids=["forward", "wparams", "wparams-empty"])
+    def test_bad_binary_word_is_usage_error(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
         assert code == 64 and named in err and out == ""
 
@@ -535,8 +563,26 @@ class TestMachineEmission:
         assert code == 0
         assert load_automaton(out).accepts(("a", "b"))
 
-    def test_dot_output(self, capsys, files):
-        code, out, _ = run(capsys, "trim", files["dyck.nfa"], "--format", "dot")
+    @pytest.mark.parametrize("argv", [
+        ["trim", "dyck.nfa"],
+        ["product", "ab.nfa", "ab.nfa"],
+        ["fst", "compose", "dup.fst", "swap.fst"],
+        ["fst", "invert", "swap.fst"],
+        ["fst", "image", "dup.fst", "ab.nfa"],
+        ["fst", "preimage", "swap.fst", "ab.nfa"],
+        ["ads", "extract", "ins.ads", "--oracle", "set"],
+        ["ads", "recode", "ins.ads", "--oracle", "set", "--emit", "decoder"],
+        ["nrr", "reduce-from-ads", "ins.ads", "--oracle", "set"],
+        ["nrr", "member-to-reg", "ins.ads", "a", "--oracle", "set"],
+        ["nrr", "filter-transfer", "ab.nfa", "swap.fst"],
+        ["logtm", "surface-nfa", "even.tm", "a,b"],
+        ["logtm", "lambda-elim", "pad.dfa"],
+    ], ids=["trim", "product", "fst-compose", "fst-invert", "fst-image", "fst-preimage",
+            "ads-extract", "ads-recode", "nrr-reduce-from-ads", "nrr-member-to-reg",
+            "nrr-filter-transfer", "logtm-surface-nfa", "logtm-lambda-elim"])
+    def test_dot_output(self, capsys, files, argv):
+        code, out, _ = run(capsys, *(files.get(arg, arg) for arg in argv),
+                           "--format", "dot")
         assert code == 0
         assert out.startswith("digraph")
 
