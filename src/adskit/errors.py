@@ -12,4 +12,8 @@ class FormatError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """Raised when an enumeration would exceed its configured cap."""
+    """Raised when a construction would exceed its configured cap.
+
+    The word walk's enumeration cap, `surface_config_nfa`'s configuration
+    cap and `WCache.ensure`'s triple-size cap raise it.
+    """

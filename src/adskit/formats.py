@@ -284,11 +284,10 @@ def load_tm(text: str) -> LogTm:
     alphabet = _alphabet(doc.one("alphabet"))
     work = _alphabet(doc.one("workalphabet"))
     size_no, size_row = doc.one("worksize")
-    try:
-        work_size = int(size_row[0])
-    except ValueError:
-        raise FormatError(f"worksize must be an integer, got {size_row[0]!r}",
-                          line_no=size_no) from None
+    _need(size_row[0].removeprefix("-").isdecimal(), size_no,
+          f"worksize must be an integer, got {size_row[0]!r}")
+    work_size = int(size_row[0])
+    _need(work_size >= 1, size_no, "work tape needs at least one cell")
     advice_row = doc.maybe("advicealphabet")
     advice = _alphabet(advice_row) if advice_row[1] is not None else None
     rules = []

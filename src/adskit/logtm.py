@@ -3,9 +3,10 @@
 Log space is modeled by an explicit per-machine work-tape size; the
 input sits between endmarkers and is read-only.  A machine either
 consumes advice symbols from a one-way read-only tape, or writes query
-words to a one-way tape that a protocol oracle answers.  The surface
-configurations (control state, work tape, heads) of a fixed input are
-finitely many, which is what the NFA construction exploits.
+words to a one-way tape that a protocol oracle answers.  A surface
+configuration is the tuple (state, input head, work tape, work head);
+those of a fixed input are finitely many, which is what the NFA
+construction exploits.  `_rule_steps` alone applies table rules to one.
 """
 
 from dataclasses import dataclass
@@ -36,19 +37,6 @@ class TmRule:
     work_move: str
     consume: bool = False
     qwrite: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SurfaceConfig:
-    """Everything of a configuration except the advice/query tape."""
-
-    q: str
-    tape: tuple
-    head: int
-    i: int
-
-    def name(self) -> str:
-        return f"{self.q}|{'.'.join(self.tape)}|{self.head}|{self.i}"
 
 
 class LogTm:
@@ -141,17 +129,22 @@ def _input_tape(tm: LogTm, x: Word) -> tuple:
     return (LM,) + tuple(x) + (RM,)
 
 
-def _rule_steps(tm: LogTm, tape: tuple, q: str, i: int, work: tuple, head: int):
-    """Rules of q that apply at input head i and work head head, in table
-    order, each with the input head, work tape and work head it leads to;
-    a rule that would move a head off its tape does not apply."""
+def _initial_config(tm: LogTm) -> tuple:
+    return (tm.initial, 0, (BLANK,) * tm.work_size, 0)
+
+
+def _rule_steps(tm: LogTm, tape: tuple, config: tuple):
+    """The rules that apply in config = (q, i, work, head), in table order,
+    each with the configuration it leads to; a rule that would move a head
+    off its tape does not apply."""
+    q, i, work, head = config
     for rule in tm._rules_from.get(q, ()):
         if rule.in_sym != tape[i] or rule.work_sym != work[head]:
             continue
         ni = i + MOVES[rule.in_move]
         nh = head + MOVES[rule.work_move]
         if 0 <= ni < len(tape) and 0 <= nh < tm.work_size:
-            yield rule, ni, work[:head] + (rule.work_write,) + work[head + 1:], nh
+            yield rule, (rule.dst, ni, work[:head] + (rule.work_write,) + work[head + 1:], nh)
 
 
 def run_with_advice(tm: LogTm, x: Word, y: Word, step_cap: int = 100_000) -> Verdict:
@@ -168,24 +161,21 @@ def run_with_advice(tm: LogTm, x: Word, y: Word, step_cap: int = 100_000) -> Ver
             raise ValueError(f"advice symbol {sym!r} not declared")
     tape = _input_tape(tm, x)
     y = tuple(y)
-    blanks = (BLANK,) * tm.work_size
 
-    def is_goal(cfg):
-        q, _, _, _, j = cfg
-        return q in tm.accepting and j >= len(y)
+    def is_goal(node):
+        config, j = node
+        return config[0] in tm.accepting and j >= len(y)
 
-    def successors(cfg, _cost):
+    def successors(node, _cost):
         # halting states carry no rules, so their configurations end here
-        q, i, work, head, j = cfg
+        config, j = node
         under = y[j] if j < len(y) else LAMBDA
-        for rule, ni, nwork, nh in _rule_steps(tm, tape, q, i, work, head):
+        for rule, nxt in _rule_steps(tm, tape, config):
             if rule.consume and rule.advice != under:
                 continue
-            nj = min(j + 1, len(y)) if rule.consume else j
-            yield (rule.dst, ni, nwork, nh, nj), 0, None
+            yield (nxt, min(j + 1, len(y)) if rule.consume else j), 0, None
 
-    start = (tm.initial, 0, blanks, 0, 0)
-    return bounded_search(start, successors, is_goal, step_cap)[0]
+    return bounded_search((_initial_config(tm), 0), successors, is_goal, step_cap)[0]
 
 
 def surface_config_nfa(tm: LogTm, x: Word, state_cap: int = 20_000) -> Nfa:
@@ -201,37 +191,38 @@ def surface_config_nfa(tm: LogTm, x: Word, state_cap: int = 20_000) -> Nfa:
     advice = list(tm.advice_alphabet) if tm.advice_alphabet is not None else []
     alphabet = Alphabet(advice + [LAMBDA])
     tape = _input_tape(tm, x)
-    blanks = (BLANK,) * tm.work_size
-
-    start = SurfaceConfig(tm.initial, blanks, 0, 0)
+    start = _initial_config(tm)
     moves = []
 
-    def successors(cfg):
-        if cfg.q in tm.accepting:
-            moves.append((cfg, LAMBDA, cfg))
+    def successors(config):
+        # halting states carry no rules: rejecting ones end here, accepting ones pad
+        if config[0] in tm.accepting:
+            moves.append((config, LAMBDA, config))
             return
-        if cfg.q in tm.rejecting:
-            return
-        for rule, ni, nwork, nh in _rule_steps(tm, tape, cfg.q, cfg.i, cfg.tape, cfg.head):
-            nxt = SurfaceConfig(rule.dst, nwork, nh, ni)
-            moves.append((cfg, rule.advice if rule.consume else None, nxt))
+        for rule, nxt in _rule_steps(tm, tape, config):
+            moves.append((config, rule.advice if rule.consume else None, nxt))
             yield nxt
 
     configs, truncated = explore([start], successors, max_nodes=state_cap)
     if truncated:
         raise CapExceeded("surface configuration cap exceeded")
-    names = {cfg: cfg.name() for cfg in configs}
+    names = {(q, i, work, head): f"{q}|{'.'.join(work)}|{head}|{i}"
+             for q, i, work, head in configs}
     return Nfa(set(names.values()), alphabet,
                {(names[src], label, names[dst]) for src, label, dst in moves},
-               names[start], {names[cfg] for cfg in configs if cfg.q in tm.accepting})
+               names[start], {names[c] for c in configs if c[0] in tm.accepting})
 
 
-def padding_flagged(a: Dfa, lam: str) -> Dfa:
-    """The flagged padding automaton: once lam is read, only lam may follow."""
+def _check_padding_input(a: Dfa, lam: str):
     if not isinstance(a, Dfa):
         raise ValueError("padding construction needs a deterministic automaton")
     if lam not in a.alphabet:
         raise ValueError(f"{lam!r} is not in the automaton alphabet")
+
+
+def padding_flagged(a: Dfa, lam: str) -> Dfa:
+    """The flagged padding automaton: once lam is read, only lam may follow."""
+    _check_padding_input(a, lam)
     states = {f"{q}@0" for q in a.states} | {f"{q}@1" for q in a.states}
     transitions = set()
     for src, sym, dst in a.transitions:
@@ -245,22 +236,15 @@ def padding_flagged(a: Dfa, lam: str) -> Dfa:
 
 
 def lambda_eliminate(a: Dfa, lam: str) -> Dfa:
-    """Strip lam transitions; a state accepts iff some lam-tail did before.
+    """Strip lam transitions; a state accepts iff its lam-chain reaches acceptance.
 
     For lam-free y: y is accepted by the result iff yΛ^k was accepted by
     a for some k ≥ 0.
     """
-    flagged = padding_flagged(a, lam)
-    accepting = set()
-    for q in a.states:
-        cur = f"{q}@0"
-        seen = set()
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            if cur in flagged.accepting:
-                accepting.add(q)
-                break
-            cur = flagged.delta(cur, lam)
+    _check_padding_input(a, lam)
+    lam_next = {src: (dst,) for src, sym, dst in a.transitions if sym == lam}
+    accepting = {q for q in a.states
+                 if not a.accepting.isdisjoint(explore([q], lambda s: lam_next.get(s, ()))[0])}
     transitions = {(s, sym, d) for s, sym, d in a.transitions if sym != lam}
     return Dfa(a.states, a.alphabet, transitions, a.initial, accepting)
 
@@ -291,21 +275,19 @@ def run_with_protocol(tm: LogTm, x: Word, o: ProtocolOracle,
 
     def writes(control):
         # halting states carry no rules or queries, so their configurations end here
-        return [(() if rule.qwrite is None else (rule.qwrite,), (rule.dst, ni, nwork, nh))
-                for rule, ni, nwork, nh in _rule_steps(tm, tape, *control)]
+        return [(() if rule.qwrite is None else (rule.qwrite,), nxt)
+                for rule, nxt in _rule_steps(tm, tape, control)]
 
     def asks(control):
         return tm._queries_from.get(control[0], ())
 
     def answers(control, qsym, r):
-        q, i, work, head = control
-        return [(dst, i, work, head) for dst in tm._responses_from.get((q, r), ())]
+        return [(dst,) + control[1:] for dst in tm._responses_from.get((control[0], r), ())]
 
     def is_final(control):
         return control[0] in tm.accepting
 
-    start = (tm.initial, 0, (BLANK,) * tm.work_size, 0)
-    return protocol_search(start, o, writes, asks, answers, is_final, bounds)[0]
+    return protocol_search(_initial_config(tm), o, writes, asks, answers, is_final, bounds)[0]
 
 
 # -- toy machines -----------------------------------------------------------
@@ -314,18 +296,8 @@ AB = Alphabet(["a", "b"])
 _WORK = Alphabet([BLANK])
 
 
-def _advice_tm(states, rules, accepting, initial, rejecting=()):
-    return LogTm(
-        states=states,
-        input_alphabet=AB,
-        work_alphabet=_WORK,
-        work_size=1,
-        rules=rules,
-        initial=initial,
-        accepting=accepting,
-        rejecting=rejecting,
-        advice_alphabet=AB,
-    )
+def _toy_tm(states, rules, initial, accepting, **kwargs):
+    return LogTm(states, AB, _WORK, 1, rules, initial, accepting, **kwargs)
 
 
 def toy_first_symbol_tm() -> LogTm:
@@ -336,7 +308,7 @@ def toy_first_symbol_tm() -> LogTm:
         for adv in AB:
             rules.append(TmRule("drain", sym, BLANK, adv, "drain", BLANK, "S", "S", consume=True))
         rules.append(TmRule("drain", sym, BLANK, None, "acc", BLANK, "S", "S"))
-    return _advice_tm({"s0", "s1", "drain", "acc"}, rules, {"acc"}, "s0")
+    return _toy_tm({"s0", "s1", "drain", "acc"}, rules, "s0", {"acc"}, advice_alphabet=AB)
 
 
 def toy_equality_tm() -> LogTm:
@@ -345,30 +317,16 @@ def toy_equality_tm() -> LogTm:
     for sym in AB:
         rules.append(TmRule("e1", sym, BLANK, sym, "e1", BLANK, "R", "S", consume=True))
     rules.append(TmRule("e1", RM, BLANK, None, "acc", BLANK, "S", "S"))
-    return _advice_tm({"e0", "e1", "acc"}, rules, {"acc"}, "e0")
+    return _toy_tm({"e0", "e1", "acc"}, rules, "e0", {"acc"}, advice_alphabet=AB)
 
 
 def toy_always_tm() -> LogTm:
     """Accepts immediately; only the empty advice word works."""
-    return _advice_tm({"acc"}, [], {"acc"}, "acc")
+    return _toy_tm({"acc"}, [], "acc", {"acc"}, advice_alphabet=AB)
 
 
 def toy_never_tm() -> LogTm:
-    return _advice_tm({"rej"}, [], set(), "rej", rejecting={"rej"})
-
-
-def _protocol_tm(states, rules, queries, responses, accepting, initial):
-    return LogTm(
-        states=states,
-        input_alphabet=AB,
-        work_alphabet=_WORK,
-        work_size=1,
-        rules=rules,
-        initial=initial,
-        accepting=accepting,
-        queries=queries,
-        responses=responses,
-    )
+    return _toy_tm({"rej"}, [], "rej", set(), rejecting={"rej"}, advice_alphabet=AB)
 
 
 def toy_insert_test_tm() -> LogTm:
@@ -382,26 +340,15 @@ def toy_insert_test_tm() -> LogTm:
     rules.append(TmRule("r1", RM, BLANK, None, "r1", BLANK, "L", "S"))
     rules.append(TmRule("r1", LM, BLANK, None, "w2", BLANK, "R", "S"))
     rules.append(TmRule("w2", RM, BLANK, None, "qt", BLANK, "S", "S"))
-    return _protocol_tm(
-        {"p0", "w1", "qi", "r1", "w2", "qt", "acc"},
-        rules,
-        queries={("qi", "#ins"), ("qt", "#test")},
-        responses={("qi", "#", "r1"), ("qt", "+#", "acc")},
-        accepting={"acc"},
-        initial="p0",
-    )
+    return _toy_tm({"p0", "w1", "qi", "r1", "w2", "qt", "acc"}, rules, "p0", {"acc"},
+                   queries={("qi", "#ins"), ("qt", "#test")},
+                   responses={("qi", "#", "r1"), ("qt", "+#", "acc")})
 
 
 def toy_test_first_tm() -> LogTm:
     """Demands a positive test before anything was inserted: rejects everything."""
-    return _protocol_tm(
-        {"t0", "acc"},
-        [],
-        queries={("t0", "#test")},
-        responses={("t0", "+#", "acc")},
-        accepting={"acc"},
-        initial="t0",
-    )
+    return _toy_tm({"t0", "acc"}, [], "t0", {"acc"},
+                   queries={("t0", "#test")}, responses={("t0", "+#", "acc")})
 
 
 def toy_palindrome_tm() -> LogTm:
@@ -413,11 +360,6 @@ def toy_palindrome_tm() -> LogTm:
     rules.append(TmRule("w1", RM, BLANK, None, "qi", BLANK, "S", "S"))
     rules.append(TmRule("b1", RM, BLANK, None, "b1", BLANK, "L", "S"))
     rules.append(TmRule("b1", LM, BLANK, None, "qt", BLANK, "S", "S"))
-    return _protocol_tm(
-        {"p0", "w1", "qi", "b1", "qt", "acc"},
-        rules,
-        queries={("qi", "#ins"), ("qt", "#test")},
-        responses={("qi", "#", "b1"), ("qt", "+#", "acc")},
-        accepting={"acc"},
-        initial="p0",
-    )
+    return _toy_tm({"p0", "w1", "qi", "b1", "qt", "acc"}, rules, "p0", {"acc"},
+                   queries={("qi", "#ins"), ("qt", "#test")},
+                   responses={("qi", "#", "b1"), ("qt", "+#", "acc")})

@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .ads import AdsAutomaton, extractor, m_prot, compose_with_fst
+from .ads import AdsAutomaton, extractor, m_prot, compose_with_fst, normalize_endmarkers
 from .automata import Alphabet, Dfa, Nfa, Word, bits, universal_nfa
 from .protocols import (
     DyckOracle,
@@ -284,8 +284,6 @@ def membership_to_reg(m: AdsAutomaton, w: Word) -> Dfa:
     """
     if not m.is_deterministic():
         raise ValueError("membership reduction needs a deterministic machine")
-    from .ads import normalize_endmarkers
-
     m = normalize_endmarkers(m)
     w = tuple(w)
     for sym in w:

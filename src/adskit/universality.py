@@ -152,7 +152,7 @@ class WCache:
         self.max_triple_size = max_triple_size
         self.entries: list[WEntry] = []
         self._by_triple: dict[tuple[str, str, str], WEntry] = {}
-        self._lengths: set[int] = set()
+        self._by_length: dict[int, WEntry] = {}
         self._done = 2
 
     def ensure(self, triple_size: int) -> None:
@@ -184,7 +184,7 @@ class WCache:
         for ln in (entry.r_length, entry.q_length):
             if not lo <= ln < hi:
                 raise RuntimeError("marker length left its designated range")
-            self._lengths.add(ln)
+            self._by_length[ln] = entry
         # squares repeat their halves exactly; marker words are checked to
         # stay off the sq image whenever materializing them is affordable
         if entry.r_length <= 1 << 16 and sq_decode(entry.r_word()) is not None:
@@ -201,7 +201,7 @@ class WCache:
             m += m % 2
         else:
             m += 1 - m % 2
-        while fixed + m * step in self._lengths:
+        while fixed + m * step in self._by_length:
             m += 2
         if fixed + m * step >= hi:
             raise RuntimeError("no free length remained in the marker range")
@@ -243,7 +243,8 @@ def w_membership(w: str, cache: Optional[WCache] = None) -> Optional[WEntry]:
     """The marker entry one of whose two words is w, or None.
 
     Only the single triple size whose length range covers |w| needs to be
-    generated; lengths outside every range short-circuit to None.
+    generated; lengths outside every range short-circuit to None.  No two
+    marker words share a length, so the entry is looked up by |w|.
     """
     _check_binary(w)
     n = len(w)
@@ -255,10 +256,8 @@ def w_membership(w: str, cache: Optional[WCache] = None) -> Optional[WEntry]:
     size = (bits - _RANGE_SHIFT - 1) // 3
     cache = cache if cache is not None else WCache()
     cache.ensure(size)
-    for entry in cache.entries:
-        if entry.triple_size == size and entry.form_of(w) is not None:
-            return entry
-    return None
+    entry = cache._by_length.get(n)
+    return entry if entry is not None and entry.form_of(w) is not None else None
 
 
 # -- the graded language L and its membership oracle ---------------------

@@ -674,6 +674,35 @@ class TestAdsAndLogtm:
         assert code == 0
         load_automaton(out)
 
+    def test_surface_nfa_stdout_is_pinned(self, capsys, files):
+        code, out, _ = run(capsys, "logtm", "surface-nfa", files["even.tm"], "a,b")
+        assert code == 0
+        assert out == (
+            "type nfa\n"
+            "alphabet Λ\n"
+            "states acc|_|0|3 even|_|0|1 even|_|0|3 odd|_|0|2 p0|_|0|0\n"
+            "initial p0|_|0|0\n"
+            "accept acc|_|0|3\n"
+            "trans acc|_|0|3 Λ acc|_|0|3\n"
+            "trans even|_|0|1 eps odd|_|0|2\n"
+            "trans even|_|0|3 eps acc|_|0|3\n"
+            "trans odd|_|0|2 eps even|_|0|3\n"
+            "trans p0|_|0|0 eps even|_|0|1\n"
+        )
+
+    def test_lambda_elim_stdout_is_pinned(self, capsys, files):
+        code, out, _ = run(capsys, "logtm", "lambda-elim", files["pad.dfa"])
+        assert code == 0
+        assert out == (
+            "type dfa\n"
+            "alphabet a Λ\n"
+            "states d0 d1\n"
+            "initial d0\n"
+            "accept d1\n"
+            "trans d0 a d1\n"
+            "trans d1 a d0\n"
+        )
+
     def test_lambda_elim(self, capsys, tmp_path):
         dfa = tmp_path / "pad.dfa"
         dfa.write_text("type dfa\nstates d0 d1\nalphabet a Λ\ninitial d0\n"

@@ -315,7 +315,25 @@ class TestErrorLines:
         (load_tm, "type tm\ntmstate s initial\nalphabet a\nworkalphabet x\nworksize two\n"),
         (load_tm, "type tm\ntmstate s initial\nalphabet a\nworksize 1\nadvicealphabet 0 0\n"
                   "workalphabet x\n"),
-    ], ids=["fst-outalphabet", "tm-worksize", "tm-advicealphabet"])
+        (load_tm, "type tm\ntmstate s initial\nalphabet a\nworkalphabet x\nworksize 0\n"),
+        (load_tm, "type tm\ntmstate s initial\nalphabet a\nworkalphabet x\nworksize -2\n"),
+        (load_tm, "type tm\ntmstate s initial\nalphabet a\nworkalphabet x\nworksize 1_0\n"),
+        (load_tm, "type tm\ntmstate s initial\nalphabet a\nworkalphabet x\nworksize +1\n"),
+    ], ids=["fst-outalphabet", "tm-worksize", "tm-advicealphabet", "tm-worksize-zero",
+            "tm-worksize-negative", "tm-worksize-underscore", "tm-worksize-plus"])
     def test_later_header_names_its_line(self, load, text):
         with pytest.raises(FormatError, match="^line 5: "):
             load(text)
+
+    @pytest.mark.parametrize("size, message", [
+        ("0", "work tape needs at least one cell"),
+        ("-2", "work tape needs at least one cell"),
+        ("1_0", "worksize must be an integer, got '1_0'"),
+        ("+1", "worksize must be an integer, got '+1'"),
+    ])
+    def test_worksize_named_before_the_rules(self, size, message):
+        text = (f"type tm\ntmstate p initial\ntmstate t accepting\nalphabet a\n"
+                f"workalphabet x\nworksize {size}\nrule p lm _ - -> t _ S S hold\n")
+        with pytest.raises(FormatError) as err:
+            load_tm(text)
+        assert str(err.value) == f"line 6: {message}"

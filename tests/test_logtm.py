@@ -205,6 +205,20 @@ class TestSurfaceConfigNfa:
         with pytest.raises(CapExceeded):
             surface_config_nfa(toy_equality_tm(), ("a", "b", "a"), state_cap=3)
 
+    def test_names_and_moves_are_pinned(self):
+        a = surface_config_nfa(toy_first_symbol_tm(), ("a",))
+        assert a.states == {"s0|_|0|0", "s1|_|0|1", "drain|_|0|1", "acc|_|0|1"}
+        assert a.transitions == {
+            ("s0|_|0|0", None, "s1|_|0|1"),
+            ("s1|_|0|1", "a", "drain|_|0|1"),
+            ("drain|_|0|1", "a", "drain|_|0|1"),
+            ("drain|_|0|1", "b", "drain|_|0|1"),
+            ("drain|_|0|1", None, "acc|_|0|1"),
+            ("acc|_|0|1", LAMBDA, "acc|_|0|1"),
+        }
+        assert a.initial == "s0|_|0|0"
+        assert a.accepting == {"acc|_|0|1"}
+
     def test_state_cap_boundary(self):
         x = ("a", "b", "a")
         size = len(surface_config_nfa(toy_equality_tm(), x).states)
