@@ -162,6 +162,17 @@ class Nfa:
                 core.cached += 1
         return hit
 
+    def step_each(self, masks, sym: str) -> tuple:
+        """step(mask, sym) for each of masks, in order.
+
+        All memo hits are read in one pass; on any miss the whole tuple
+        goes through step, which alone fills the memo.
+        """
+        hits = tuple(map(self.core.steps[sym][1].get, masks))
+        if None in hits:
+            return tuple(self.step(mask, sym) for mask in masks)
+        return hits
+
     def accepts(self, word: Word) -> bool:
         for sym in word:
             if sym not in self.alphabet:

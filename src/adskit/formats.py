@@ -120,6 +120,21 @@ def _alphabet(row: tuple[int, Iterable[str]]) -> Alphabet:
         raise FormatError(str(exc), line_no=no) from None
 
 
+def _initial(doc: _Doc, states: set, message: str) -> str:
+    """The initial state, checked against the states on its own line."""
+    no, toks = doc.one("initial")
+    _need(toks[0] in states, no, message.format(toks[0]))
+    return toks[0]
+
+
+def _accepting(doc: _Doc, states: set, message: str) -> set:
+    """The accepting states, checked against the states on their own line."""
+    no, toks = doc.maybe("accept")
+    accepting = set(toks or ())
+    _need(accepting <= states, no, message)
+    return accepting
+
+
 def _build(ctor, no: int, *args, **kwargs):
     try:
         return ctor(*args, **kwargs)
@@ -141,17 +156,24 @@ def load_automaton(text: str) -> Nfa:
     doc = _Doc(text, kind)
     alphabet = _alphabet(doc.one("alphabet"))
     states = set(doc.one("states")[1])
-    initial = doc.one("initial")[1][0]
-    accept_row = doc.maybe("accept")[1] or []
-    transitions = set()
-    trans_no = 1
+    initial = _initial(doc, states, "initial state {!r} not declared")
+    accepting = _accepting(doc, states, "accepting states must be declared states")
+    # each move is checked on its own line, with the constructors' messages
+    transitions, fanout = set(), {}
     for no, toks in doc.many("trans"):
         _need(len(toks) == 3, no, "trans needs <src> <tok|eps> <dst>")
-        transitions.add((toks[0], _sym(toks[1]), toks[2]))
-        trans_no = no
+        src, sym, dst = toks[0], _sym(toks[1]), toks[2]
+        _need(src in states and dst in states, no,
+              f"transition ({src!r},{sym!r},{dst!r}) uses undeclared state")
+        _need(sym is None or sym in alphabet, no, f"transition symbol {sym!r} not in alphabet")
+        if kind == "dfa":
+            _need(sym is not None, no, "DFA cannot contain epsilon transitions")
+            _need(fanout.setdefault((src, sym), dst) == dst, no,
+                  f"DFA has two transitions from {src!r} on {sym!r}")
+        transitions.add((src, sym, dst))
     doc.finish()
     ctor = Dfa if kind == "dfa" else Nfa
-    return _build(ctor, trans_no, states, alphabet, transitions, initial, set(accept_row))
+    return ctor(states, alphabet, transitions, initial, accepting)
 
 
 def dump_automaton(a: Nfa) -> str:
@@ -174,17 +196,19 @@ def load_fst(text: str) -> Fst:
     alphabet = _alphabet(doc.one("alphabet"))
     out_alpha = _alphabet(doc.one("outalphabet"))
     states = set(doc.one("states")[1])
-    initial = doc.one("initial")[1][0]
-    accept_row = doc.maybe("accept")[1] or []
+    initial = _initial(doc, states, "initial state not declared")
+    accepting = _accepting(doc, states, "accepting states must be declared")
     transitions = set()
-    last_no = 1
     for no, toks in doc.many("trans"):
         _need(len(toks) == 4, no, "trans needs <src> <tok|eps> <out|-> <dst>")
-        transitions.add((toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]))
-        last_no = no
+        src, sym, out, dst = toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]
+        _need(src in states and dst in states, no, "transition references undeclared state")
+        _need(sym is None or sym in alphabet, no, f"input symbol {sym!r} not declared")
+        for c in out:
+            _need(c in out_alpha, no, f"output symbol {c!r} not declared")
+        transitions.add((src, sym, out, dst))
     doc.finish()
-    return _build(Fst, last_no, states, alphabet, out_alpha,
-                  transitions, initial, set(accept_row))
+    return Fst(states, alphabet, out_alpha, transitions, initial, accepting)
 
 
 def dump_fst(t: Fst) -> str:

@@ -241,7 +241,7 @@ def nreg_perk(a: Nfa, k: int, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswe
 
     def successors(node, _cost):
         for sym in digits:
-            yield tuple(a.step(reach, sym) for reach in node), 0, sym
+            yield a.step_each(node, sym), 0, sym
 
     # a node is the relation: the step mask each state reaches, in core.states order
     verdict, v = bounded_search(core.closure, successors, accepts_via, bounds.max_configs)

@@ -173,9 +173,19 @@ def protocol_search(start, oracle: ProtocolOracle, writes, asks, answers, is_fin
     exceed max_blocks; a response nothing continues from does neither.
     Returns bounded_search's verdict and, on ACCEPT, the path's labels:
     the tokens of each write and the (q, r) pair of each query.
+
+    writes, asks and answers must be functions of the control alone: the
+    search calls writes and asks once per control, on its first
+    expansion, and answers once per (control, q, r), when an oracle
+    answer first needs it, and reuses the results for the rest of the
+    call, so every oracle state that reaches a control shares its moves.
+    respond is still called once per (node, query).
     """
     respond, accepting = oracle.respond, oracle.accepting
     max_tape, max_blocks = bounds.max_tape, bounds.max_blocks
+    # control -> (its writes, its asks, its answers by (q, r)); one entry
+    # per expanded control, so max_configs bounds it
+    moves_of = {}
 
     def is_goal(node):
         control, tape, ostate = node
@@ -183,17 +193,23 @@ def protocol_search(start, oracle: ProtocolOracle, writes, asks, answers, is_fin
 
     def successors(node, blocks):
         control, tape, ostate = node
+        known = moves_of.get(control)
+        if known is None:
+            known = moves_of[control] = (tuple(writes(control)), tuple(asks(control)), {})
+        control_writes, queries, after = known
         room = max_tape - len(tape)
         moves = []
-        for tokens, nxt in writes(control):
+        for tokens, nxt in control_writes:
             moves.append(((nxt, tape + tokens, ostate), blocks, tokens)
                          if len(tokens) <= room else PRUNED)
-        for q in asks(control):
+        for q in queries:
             answer = respond(ostate, tape, q)
             if answer is None:
                 continue
             r, nstate = answer
-            nexts = answers(control, q, r)
+            nexts = after.get((q, r))
+            if nexts is None:
+                nexts = after[q, r] = tuple(answers(control, q, r))
             if not nexts:
                 continue
             if blocks >= max_blocks:

@@ -99,6 +99,37 @@ def random_bracket_nfa(rng: random.Random, alphabet, base=6, out_degree=3):
             Nfa(names, Alphabet(["0", "1", "2", "3"]), block_moves, names[0], accepting))
 
 
+# query/response blocks of the set protocol
+SET_BLOCKS = (("#ins", "#"), ("#out", "#"), ("#test", "+#"), ("#test", "-#"))
+
+
+def random_set_nfa(rng: random.Random, alphabet, base=5, out_degree=3):
+    """Block-structured automaton over the set protocol alphabet.
+
+    Every edge between the base states b0..b{base-1} writes at most two
+    letters and closes its block with one pair of SET_BLOCKS, through
+    its own chain of states, so the stored words stay short and the
+    configuration space is finite.  The first edge of each base state
+    goes to the next one around a ring and the last base state accepts.
+    """
+    names = [f"b{i}" for i in range(base)]
+    states = list(names)
+    transitions = set()
+    for i, src in enumerate(names):
+        for e in range(out_degree):
+            dst = names[(i + 1) % base] if e == 0 else rng.choice(names)
+            tokens = tuple(rng.choice("ab") for _ in range(rng.randint(0, 2)))
+            tokens += rng.choice(SET_BLOCKS)
+            prev = src
+            for j, sym in enumerate(tokens[:-1]):
+                mid = f"m{i}.{e}.{j}"
+                states.append(mid)
+                transitions.add((prev, sym, mid))
+                prev = mid
+            transitions.add((prev, tokens[-1], dst))
+    return Nfa(states, alphabet, transitions, names[0], {names[-1]})
+
+
 def random_ads(rng: random.Random, pa, input_alphabet=AB, max_states=4,
                density=2.0, det=False):
     """Random machine over a protocol alphabet; det forces one future
@@ -144,3 +175,32 @@ def random_ads(rng: random.Random, pa, input_alphabet=AB, max_states=4,
     initial = rng.choice(states)
     return AdsAutomaton(wstates, qstates, input_alphabet, pa, wmoves, qmoves,
                         initial, accepting)
+
+
+def random_copy_nfa(rng: random.Random, states: int, k: int) -> Nfa:
+    """Automaton over the k digits and '#' for the copy filter (v#)^k.
+
+    Each digit acts on the states in its own way: as a permutation, as a
+    partial function or as a relation of up to two targets per state, so
+    the relation monoid is not a group.  '#' is a partial function, and
+    one or two states accept.
+    """
+    names = [f"c{i}" for i in range(states)]
+    digits = [str(i) for i in range(k)]
+    transitions = set()
+    for d in digits:
+        kind = rng.choice(("permutation", "function", "relation"))
+        if kind == "permutation":
+            image = list(names)
+            rng.shuffle(image)
+            transitions |= {(src, d, dst) for src, dst in zip(names, image)}
+        for src in names:
+            if kind == "function" and rng.random() < 0.8:
+                transitions.add((src, d, rng.choice(names)))
+            elif kind == "relation":
+                transitions |= {(src, d, dst) for dst in rng.sample(names, rng.randint(0, 2))}
+    for src in names:
+        if rng.random() < 0.6:
+            transitions.add((src, "#", rng.choice(names)))
+    accepting = set(rng.sample(names, rng.randint(1, 2)))
+    return Nfa(names, Alphabet(digits + ["#"]), transitions, names[0], accepting)

@@ -362,6 +362,27 @@ class TestCompiledStep:
             held = sum(len(memo) for _, memo in a.core.steps.values())
             assert held == a.core.cached == automata.STEP_CACHE_ENTRIES
 
+    def test_step_each_matches_step(self, monkeypatch):
+        rng = random.Random(41)
+        for budget in (automata.STEP_CACHE_ENTRIES, 3):
+            # a budget of 3 fills the cache at once, so later misses stay misses
+            monkeypatch.setattr(automata, "STEP_CACHE_ENTRIES", budget)
+            for _ in range(40):
+                a = random_nfa(rng, max_states=6, eps_prob=0.3, density=3.0)
+                # a fresh copy steps one mask at a time, so its results come
+                # from step alone
+                ref = Nfa(a.states, a.alphabet, a.transitions, a.initial, a.accepting)
+                full = (1 << len(a.states)) - 1
+                for sym in a.alphabet:
+                    for _ in range(3):
+                        masks = tuple(rng.randint(0, full) for _ in range(rng.randint(0, 6)))
+                        want = tuple(ref.step(mask, sym) for mask in masks)
+                        # the first call may miss, the second finds what it stored
+                        assert a.step_each(masks, sym) == want
+                        assert a.step_each(masks, sym) == want
+                        assert a.core.cached <= budget
+                assert ref.core.cached == a.core.cached
+
 
 class TestDfa:
     def test_rejects_eps(self):

@@ -253,6 +253,50 @@ trans s9 #test s2
 trans s9 b s7
 """
 
+# 5-state copy-filter automaton with mixed digit actions; per:3 finds the
+# witness (1 0 2 #)^3
+SEEDED_COPY_NFA = """\
+type nfa
+alphabet 0 1 2 #
+states c0 c1 c2 c3 c4
+initial c0
+accept c1
+trans c0 # c4
+trans c0 1 c3
+trans c0 2 c3
+trans c1 # c1
+trans c1 0 c0
+trans c1 1 c2
+trans c1 2 c4
+trans c2 0 c4
+trans c2 1 c1
+trans c2 2 c2
+trans c3 # c0
+trans c3 0 c4
+trans c3 1 c4
+trans c3 2 c0
+trans c4 # c3
+trans c4 0 c4
+trans c4 1 c0
+trans c4 2 c1
+"""
+
+# small set-store machine; simulate accepts the input b,a
+SEEDED_SET_ADS = """\
+type ads
+alphabet a b
+partition wr w0 w1 w2
+partition query q0
+initial w2
+accept q0 w2
+wmove w0 a b q0
+wmove w1 a b,b w1
+wmove w1 eps a,b q0
+wmove w2 b a,a w1
+qmove q0 #out # w2
+qmove q0 #test +# w0
+"""
+
 # 5-state transducer with epsilon moves, silent moves and outputs of up to
 # three letters, and a 4-state automaton over its alphabet; letter_split,
 # compose and invert all make fresh and paired state names from them
@@ -479,9 +523,13 @@ class TestReports:
         (tmp_path / "dag.nfa").write_text(SEEDED_DAG_NFA)
         (tmp_path / "x.members").write_text("000\n001\n1\n100\n110\n")
         (tmp_path / "bracket.nfa").write_text(SEEDED_BRACKET_NFA)
+        (tmp_path / "copy.nfa").write_text(SEEDED_COPY_NFA)
+        (tmp_path / "set.ads").write_text(SEEDED_SET_ADS)
         commands = [
             ["universality", "decide", "dag.nfa", "--oracle-file", "x.members"],
             ["nrr", "decide", "bracket.nfa", "--filter", "dyck"],
+            ["nrr", "decide", "copy.nfa", "--filter", "per:3"],
+            ["ads", "simulate", "set.ads", "b,a", "--oracle", "set"],
         ]
         src = str(Path(adskit.__file__).resolve().parent.parent)
         for argv in commands:

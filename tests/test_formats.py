@@ -1,6 +1,13 @@
 """Parser/writer round trips for the four textual machine formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import adskit
 
 from adskit.ads import AdsAutomaton
 from adskit.automata import Alphabet, Dfa, Nfa
@@ -337,3 +344,53 @@ class TestErrorLines:
         with pytest.raises(FormatError) as err:
             load_tm(text)
         assert str(err.value) == f"line 6: {message}"
+
+
+class TestMoveLines:
+    """A bad move, initial or accept line is named on the line where it is read."""
+
+    TWO_BAD_MOVES = ("type nfa\nalphabet a\nstates s t\ninitial s\naccept t\n"
+                     "trans s b t\ntrans s c t\ntrans s a t\n")
+
+    def test_first_bad_move_is_named_whatever_the_hash_seed(self, tmp_path):
+        path = tmp_path / "two_bad.nfa"
+        path.write_text(self.TWO_BAD_MOVES)
+        src = str(Path(adskit.__file__).resolve().parent.parent)
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "adskit.cli", "trim", str(path)],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 65, seed
+            assert "line 6: transition symbol 'b' not in alphabet" in done.stderr, seed
+
+    @pytest.mark.parametrize("load, text, message", [
+        (load_automaton, "type nfa\nalphabet a\nstates s t\ninitial zz\naccept t\n"
+                         "trans s a t\ntrans t a s\n",
+         "line 4: initial state 'zz' not declared"),
+        (load_automaton, "type nfa\nalphabet a\nstates s t\ninitial s\naccept t u\n"
+                         "trans s a t\n",
+         "line 5: accepting states must be declared states"),
+        (load_automaton, "type nfa\nalphabet a\nstates s t\ninitial s\ntrans s a t\n"
+                         "trans s a u\ntrans u a v\n",
+         "line 6: transition ('s','a','u') uses undeclared state"),
+        (load_automaton, "type dfa\nalphabet a\nstates s t\ninitial s\ntrans s a t\n"
+                         "trans s a t\ntrans t a s\ntrans s a s\n",
+         "line 8: DFA has two transitions from 's' on 'a'"),
+        (load_automaton, "type dfa\nalphabet a\nstates s t\ninitial s\ntrans s a t\n"
+                         "trans t eps s\ntrans t b s\n",
+         "line 6: DFA cannot contain epsilon transitions"),
+        (load_fst, "type fst\nalphabet a\noutalphabet b\nstates s t\ninitial zz\n"
+                   "trans s a b t\n",
+         "line 5: initial state not declared"),
+        (load_fst, "type fst\nalphabet a\noutalphabet b\nstates s t\ninitial s\n"
+                   "trans s a b,c t\ntrans s c b t\ntrans s a d t\n",
+         "line 6: output symbol 'c' not declared"),
+        (load_fst, "type fst\nalphabet a\noutalphabet b\nstates s t\ninitial s\n"
+                   "trans s a b t\ntrans s c b t\ntrans u a b t\n",
+         "line 7: input symbol 'c' not declared"),
+    ], ids=["nfa-initial", "nfa-accept", "nfa-state", "dfa-fanout", "dfa-eps",
+            "fst-initial", "fst-output", "fst-input"])
+    def test_error_names_its_own_line(self, load, text, message):
+        with pytest.raises(FormatError) as err:
+            load(text)
+        assert str(err.value) == message

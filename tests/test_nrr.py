@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from adskit import automata
 from adskit.ads import AdsAutomaton, simulate
 from adskit.automata import Alphabet, Nfa, nfa_for_words, universal_nfa
 from adskit.nrr import (
@@ -31,8 +33,16 @@ from adskit.protocols import (
 from adskit.transducers import identity_fst
 from adskit.verdict import DEFAULT_BOUNDS, SearchBounds, Verdict
 
-from genrand import AB, BRACKET_BLOCKS, random_ads, random_bracket_nfa, random_nfa
-from oracles import brute_words
+from genrand import (
+    AB,
+    BRACKET_BLOCKS,
+    random_ads,
+    random_bracket_nfa,
+    random_copy_nfa,
+    random_nfa,
+    random_set_nfa,
+)
+from oracles import brute_words, path_accepts
 
 SET = SetOracle()
 SET_ALPHA = SET.alphabet.flattened()
@@ -165,6 +175,35 @@ class TestGenericDecider:
             definite += 1
             assert (answer.verdict is Verdict.ACCEPT) == brute
         assert definite > 50
+
+
+class CountingSetOracle(SetOracle):
+    """A set oracle that counts its respond calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def respond(self, state, u, q):
+        self.calls += 1
+        return super().respond(state, u, q)
+
+
+class TestOracleTraffic:
+    """nreg_generic asks the oracle once per (node, query): pinned counts."""
+
+    @pytest.mark.parametrize("seed, base, out_degree, verdict, calls, witness", [
+        (16, 8, 4, Verdict.ACCEPT, 404,
+         ("b", "#test", "-#", "b", "#out", "#", "a", "b", "#ins", "#", "a", "#out", "#",
+          "b", "#out", "#", "b", "#ins", "#", "a", "b", "#test", "+#", "a", "b",
+          "#out", "#")),
+        (24, 10, 5, Verdict.REJECT, 2358, None),
+    ])
+    def test_respond_calls_are_pinned(self, seed, base, out_degree, verdict, calls, witness):
+        a = random_set_nfa(random.Random(seed), SET_ALPHA, base, out_degree)
+        oracle = CountingSetOracle()
+        answer = nreg_generic(NrrInstance(a, oracle))
+        assert (answer.verdict, oracle.calls, answer.witness) == (verdict, calls, witness)
 
 
 class TestDyckDecider:
@@ -318,6 +357,40 @@ class TestPerkDecider:
                     assert answer.verdict is Verdict.ACCEPT
                 if answer.verdict is Verdict.REJECT:
                     assert not brute
+
+    @staticmethod
+    def mixed_action_runs(k):
+        """nreg_perk on 40 seeded random copy automata of 5-7 states."""
+        rng = random.Random(405)
+        runs = []
+        for _ in range(40):
+            a = random_copy_nfa(rng, rng.randint(5, 7), k)
+            runs.append((a, nreg_perk(a, k, SearchBounds(max_configs=20_000))))
+        return runs
+
+    def test_mixed_actions_match_brute_force(self, monkeypatch):
+        k, max_v = 3, 4
+        copies = [tuple((list(v) + ["#"]) * k) for v in words_over(tuple(sigma_k(k)), max_v)]
+        runs = self.mixed_action_runs(k)
+        verdicts = Counter()
+        for a, answer in runs:
+            verdicts[answer.verdict] += 1
+            shortest = next((w for w in copies if path_accepts(a, w)), None)
+            if answer.verdict is Verdict.ACCEPT:
+                assert path_accepts(a, answer.witness)
+                assert per_k_membership(answer.witness, k)
+                # relations are searched shortest v first
+                if shortest is None:
+                    assert len(answer.witness) > len(copies[-1])
+                else:
+                    assert len(answer.witness) == len(shortest)
+            else:
+                assert shortest is None
+        assert verdicts[Verdict.ACCEPT] >= 15 and verdicts[Verdict.REJECT] >= 8
+        # a budget of 16 keeps step_each on its miss path nearly always
+        monkeypatch.setattr(automata, "STEP_CACHE_ENTRIES", 16)
+        again = self.mixed_action_runs(k)
+        assert [answer for _, answer in again] == [answer for _, answer in runs]
 
     def test_unknown_under_tiny_cap(self):
         a = nfa_for_words(PerKFilter(1).alphabet, [("0", "0", "#")])

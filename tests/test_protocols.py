@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -303,19 +304,26 @@ class TestCanonicalKey:
                             assert ra[0] == rb[0]
 
 
-def _graph_search(oracle, moves, finals, start="s", **bounds):
+def _graph_search(oracle, moves, finals, start="s", calls=None, **bounds):
     """protocol_search over a hand-built control graph.
 
     moves maps a control to ("w", tokens, next) writes and ("q", q, r,
     next) queries that go on to next when the oracle answers q with r.
+    A `calls` Counter, when given, counts each client call by its
+    arguments: ("writes", c), ("asks", c) and ("answers", c, q, r).
     """
+    tally = Counter() if calls is None else calls
+
     def writes(c):
+        tally["writes", c] += 1
         return [(m[1], m[2]) for m in moves.get(c, ()) if m[0] == "w"]
 
     def asks(c):
+        tally["asks", c] += 1
         return list(dict.fromkeys(m[1] for m in moves.get(c, ()) if m[0] == "q"))
 
     def answers(c, q, r):
+        tally["answers", c, q, r] += 1
         return [m[3] for m in moves.get(c, ()) if m[0] == "q" and m[1:3] == (q, r)]
 
     return protocol_search(start, oracle, writes, asks, answers, finals.__contains__,
@@ -387,6 +395,39 @@ class TestProtocolSearch:
         verdict, labels = _graph_search(DyckOracle(exact_d2=True), moves, {"o", "c"})
         assert verdict is Verdict.ACCEPT and labels == (("push(", "("), ("pop", ")"))
         assert _graph_search(DyckOracle(exact_d2=True), moves, {"o"})[0] is Verdict.REJECT
+
+    # s writes a or b, t stores, drops or tests that word; only a +#
+    # test leads on, to g; every set of {a, b} reaches s and t
+    LOOP = {"s": [("w", ("a",), "t"), ("w", ("b",), "t")],
+            "t": [("q", "#ins", "#", "s"), ("q", "#out", "#", "s"),
+                  ("q", "#test", "-#", "s"), ("q", "#test", "+#", "g")]}
+
+    @pytest.mark.parametrize("graph, finals, bounds, result, answered", [
+        ("DIAMOND", {"f"}, {"max_configs": 11}, (Verdict.REJECT, None),
+         {("a1", "#ins", "#"), ("a3", "#ins", "#"), ("b1", "#ins", "#"),
+          ("b3", "#ins", "#"), ("m", "#test", "-#"), ("c1", "#test", "-#"),
+          ("c2", "#test", "-#")}),
+        ("LOOP", {"f"}, {}, (Verdict.REJECT, None),
+         {("t", "#ins", "#"), ("t", "#out", "#"), ("t", "#test", "-#"),
+          ("t", "#test", "+#")}),
+        ("LOOP", {"g"}, {}, (Verdict.ACCEPT, (("a",), ("#ins", "#"), ("a",), ("#test", "+#"))),
+         {("t", "#ins", "#"), ("t", "#out", "#"), ("t", "#test", "-#"),
+          ("t", "#test", "+#")}),
+    ], ids=["diamond", "loop-reject", "loop-accept"])
+    def test_client_moves_are_computed_once_per_control(self, graph, finals, bounds,
+                                                        result, answered):
+        calls = Counter()
+        moves = getattr(self, graph)
+        assert _graph_search(SetOracle(), moves, finals, calls=calls, **bounds) == result
+        assert set(calls.values()) == {1}
+        controls = {key[1] for key in calls if key[0] == "writes"}
+        assert {key[1] for key in calls if key[0] == "asks"} == controls
+        assert {key[1:] for key in calls if key[0] == "answers"} == answered
+        if graph == "DIAMOND":
+            assert controls == {"s", "a1", "a2", "a3", "b1", "b2", "b3", "m",
+                                "c1", "c2", "c3"}
+        elif result[0] is Verdict.REJECT:
+            assert controls == {"s", "t", "g"}
 
     def test_labels_follow_the_path(self):
         moves = {"s": [("w", ("a",), "t")], "t": [("q", "#ins", "#", "u")],
