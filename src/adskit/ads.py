@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .automata import Alphabet, Word
+from .errors import ItemError
 from .protocols import ProtocolAlphabet, ProtocolOracle, protocol_search
 from .transducers import Fst
 from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict, explore
@@ -35,11 +36,12 @@ class AdsAutomaton:
         self.states = self.write_states | self.query_states
         self.input_alphabet = input_alphabet
         self.protocol = protocol
-        self.write_moves = frozenset(write_moves)
-        self.query_moves = frozenset(query_moves)
         self.initial = initial
         self.accepting = frozenset(accepting)
-        self._validate()
+        write_moves, query_moves = tuple(write_moves), tuple(query_moves)
+        self._validate(write_moves, query_moves)
+        self.write_moves = frozenset(write_moves)
+        self.query_moves = frozenset(query_moves)
         self._wout: dict[str, list[WriteMove]] = {s: [] for s in self.states}
         self._qout: dict[str, list[QueryMove]] = {s: [] for s in self.states}
         for mv in sorted(self.write_moves, key=repr):
@@ -47,34 +49,37 @@ class AdsAutomaton:
         for mv in sorted(self.query_moves, key=repr):
             self._qout[mv[0]].append(mv)
 
-    def _validate(self):
+    def _validate(self, write_moves, query_moves):
         if not self.states:
-            raise ValueError("automaton needs at least one state")
+            raise ItemError("automaton needs at least one state", "partition")
         if self.write_states & self.query_states:
-            raise ValueError("write and query states must be disjoint")
+            raise ItemError("write and query states must be disjoint", "partition")
         if self.initial not in self.states:
-            raise ValueError(f"initial state {self.initial!r} not a state")
+            raise ItemError(f"initial state {self.initial!r} not a state", "initial")
         if not self.accepting <= self.states:
-            raise ValueError("accepting states must be states")
+            raise ItemError("accepting states must be states", "accept")
         if LM in self.input_alphabet or RM in self.input_alphabet:
-            raise ValueError(f"{LM!r} and {RM!r} are reserved for the endmarkers")
+            raise ItemError(f"{LM!r} and {RM!r} are reserved for the endmarkers", "alphabet")
         wr = set(self.protocol.wr_symbols)
-        for src, inp, write, dst in self.write_moves:
+        for move in write_moves:
+            src, inp, write, dst = move
             if src not in self.write_states:
-                raise ValueError(f"write move from non-write state {src!r}")
+                raise ItemError(f"write move from non-write state {src!r}", move)
             if dst not in self.states:
-                raise ValueError(f"write move into unknown state {dst!r}")
+                raise ItemError(f"write move into unknown state {dst!r}", move)
             if inp is not None and inp not in self.input_alphabet and inp not in (LM, RM):
-                raise ValueError(f"write move reads undeclared symbol {inp!r}")
+                raise ItemError(f"write move reads undeclared symbol {inp!r}", move)
             if not isinstance(write, tuple) or any(x not in wr for x in write):
-                raise ValueError(f"write move emits tokens outside the write alphabet: {write!r}")
-        for src, q, r, dst in self.query_moves:
+                raise ItemError(
+                    f"write move emits tokens outside the write alphabet: {write!r}", move)
+        for move in query_moves:
+            src, q, r, dst = move
             if src not in self.query_states:
-                raise ValueError(f"query move from non-query state {src!r}")
+                raise ItemError(f"query move from non-query state {src!r}", move)
             if dst not in self.write_states:
-                raise ValueError(f"query move must land in a write state, got {dst!r}")
+                raise ItemError(f"query move must land in a write state, got {dst!r}", move)
             if (q, r) not in self.protocol.valid:
-                raise ValueError(f"query move uses invalid pair ({q!r},{r!r})")
+                raise ItemError(f"query move uses invalid pair ({q!r},{r!r})", move)
 
     def write_moves_from(self, state: str) -> list[WriteMove]:
         return self._wout[state]

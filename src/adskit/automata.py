@@ -11,7 +11,7 @@ import heapq
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import CapExceeded
+from .errors import CapExceeded, ItemError
 from .verdict import explore
 
 EPSILON_TOKEN = "eps"
@@ -87,23 +87,29 @@ class Nfa:
     def __init__(self, states, alphabet: Alphabet, transitions, initial, accepting):
         self.states = frozenset(states)
         self.alphabet = alphabet
-        self.transitions = frozenset(transitions)
         self.initial = initial
         self.accepting = frozenset(accepting)
         if not self.states:
-            raise ValueError("state set must be non-empty")
+            raise ItemError("state set must be non-empty", "states")
         if self.initial not in self.states:
-            raise ValueError(f"initial state {initial!r} not declared")
+            raise ItemError(f"initial state {initial!r} not declared", "initial")
         if not self.accepting <= self.states:
-            raise ValueError("accepting states must be declared states")
-        for src, sym, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition ({src!r},{sym!r},{dst!r}) uses undeclared state")
-            if sym is not None and sym not in alphabet:
-                raise ValueError(f"transition symbol {sym!r} not in alphabet")
+            raise ItemError("accepting states must be declared states", "accept")
+        self.transitions = frozenset(self._checked(transitions))
         self._out = {}
         for src, sym, dst in self.transitions:
             self._out.setdefault(src, []).append((sym, dst))
+
+    def _checked(self, transitions):
+        """Each transition in the caller's order, once it passes the rules."""
+        for move in transitions:
+            src, sym, dst = move
+            if src not in self.states or dst not in self.states:
+                raise ItemError(f"transition ({src!r},{sym!r},{dst!r}) uses undeclared state",
+                                move)
+            if sym is not None and sym not in self.alphabet:
+                raise ItemError(f"transition symbol {sym!r} not in alphabet", move)
+            yield move
 
     def __eq__(self, other):
         return (
@@ -360,15 +366,19 @@ class Dfa(Nfa):
     missing transitions reject.
     """
 
-    def __init__(self, states, alphabet, transitions, initial, accepting):
-        super().__init__(states, alphabet, transitions, initial, accepting)
-        seen = set()
-        for src, sym, _ in self.transitions:
+    # no code of its own; perfbench/trace.py wraps each class's own __init__
+    __init__ = Nfa.__init__
+
+    def _checked(self, transitions):
+        fanout = {}
+        for move in super()._checked(transitions):
+            src, sym, dst = move
             if sym is None:
-                raise ValueError("DFA cannot contain epsilon transitions")
-            if (src, sym) in seen:
-                raise ValueError(f"DFA has two transitions from {src!r} on {sym!r}")
-            seen.add((src, sym))
+                raise ItemError("DFA cannot contain epsilon transitions", move)
+            # identical duplicates stay legal
+            if fanout.setdefault((src, sym), dst) != dst:
+                raise ItemError(f"DFA has two transitions from {src!r} on {sym!r}", move)
+            yield move
 
     def delta(self, state: str, sym: str) -> Optional[str]:
         for label, dst in self._out.get(state, ()):

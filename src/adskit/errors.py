@@ -11,6 +11,16 @@ class FormatError(ValueError):
         self.line_no = line_no
 
 
+class ItemError(ValueError):
+    """Raised by a machine constructor, which checks its fields and then each
+    item in the caller's order, for the first that breaks a rule.  `item` is
+    that move, rule, query or response as given, or a field name ("initial")."""
+
+    def __init__(self, message, item):
+        super().__init__(message)
+        self.item = item
+
+
 class CapExceeded(RuntimeError):
     """Raised when a construction would exceed its configured cap.
 

@@ -73,11 +73,12 @@ def _join_word(word: Word) -> str:
 
 
 class _Doc:
-    """Grouped lines of one description, with single/multi accessors."""
+    """Grouped lines of one description, with single/multi accessors, and
+    the line each item (a header by its keyword, or a move) was first read on."""
 
     def __init__(self, text: str, expected_type: str):
         self.rows: dict[str, list[tuple[int, list[str]]]] = {}
-        self.first_no = 0
+        self.lines: dict = {}
         for no, toks in _lines(text):
             self.rows.setdefault(toks[0], []).append((no, toks[1:]))
         type_rows = self.rows.pop("type", [])
@@ -94,6 +95,7 @@ class _Doc:
               f"exactly one {key!r} line required")
         no, toks = rows[0]
         _need(len(toks) >= 1, no, f"{key!r} line needs at least 1 tokens")
+        self.lines[key] = no
         return no, toks
 
     def maybe(self, key: str) -> tuple[int, Optional[list[str]]]:
@@ -102,42 +104,34 @@ class _Doc:
         if not rows:
             return 1, None
         _need(len(rows) == 1, rows[0][0], f"at most one {key!r} line allowed")
+        self.lines[key] = rows[0][0]
         return rows[0]
 
     def many(self, key: str) -> list[tuple[int, list[str]]]:
         return self.rows.pop(key, [])
 
-    def finish(self):
+    def item(self, item, no: int):
+        """item, recorded as read on line no unless read before."""
+        self.lines.setdefault(item, no)
+        return item
+
+    def build(self, ctor, *args, **kwargs):
+        """ctor(*args, **kwargs), a complaint named on its item's line (else the
+        last line recorded); then any directive no loader asked for."""
+        try:
+            machine = ctor(*args, **kwargs)
+        except ValueError as exc:
+            no = self.lines.get(getattr(exc, "item", None)) or max(self.lines.values())
+            raise FormatError(str(exc), line_no=no) from None
         for key, rows in self.rows.items():
             raise FormatError(f"unknown directive {key!r}", line_no=rows[0][0])
+        return machine
 
 
 def _alphabet(row: tuple[int, Iterable[str]]) -> Alphabet:
     no, tokens = row
     try:
         return Alphabet(tokens)
-    except ValueError as exc:
-        raise FormatError(str(exc), line_no=no) from None
-
-
-def _initial(doc: _Doc, states: set, message: str) -> str:
-    """The initial state, checked against the states on its own line."""
-    no, toks = doc.one("initial")
-    _need(toks[0] in states, no, message.format(toks[0]))
-    return toks[0]
-
-
-def _accepting(doc: _Doc, states: set, message: str) -> set:
-    """The accepting states, checked against the states on their own line."""
-    no, toks = doc.maybe("accept")
-    accepting = set(toks or ())
-    _need(accepting <= states, no, message)
-    return accepting
-
-
-def _build(ctor, no: int, *args, **kwargs):
-    try:
-        return ctor(*args, **kwargs)
     except ValueError as exc:
         raise FormatError(str(exc), line_no=no) from None
 
@@ -155,25 +149,15 @@ def load_automaton(text: str) -> Nfa:
         raise FormatError(f"unknown automaton type {kind!r}", line_no=1)
     doc = _Doc(text, kind)
     alphabet = _alphabet(doc.one("alphabet"))
-    states = set(doc.one("states")[1])
-    initial = _initial(doc, states, "initial state {!r} not declared")
-    accepting = _accepting(doc, states, "accepting states must be declared states")
-    # each move is checked on its own line, with the constructors' messages
-    transitions, fanout = set(), {}
+    states = doc.one("states")[1]
+    initial = doc.one("initial")[1][0]
+    accepting = doc.maybe("accept")[1] or ()
+    transitions = []
     for no, toks in doc.many("trans"):
         _need(len(toks) == 3, no, "trans needs <src> <tok|eps> <dst>")
-        src, sym, dst = toks[0], _sym(toks[1]), toks[2]
-        _need(src in states and dst in states, no,
-              f"transition ({src!r},{sym!r},{dst!r}) uses undeclared state")
-        _need(sym is None or sym in alphabet, no, f"transition symbol {sym!r} not in alphabet")
-        if kind == "dfa":
-            _need(sym is not None, no, "DFA cannot contain epsilon transitions")
-            _need(fanout.setdefault((src, sym), dst) == dst, no,
-                  f"DFA has two transitions from {src!r} on {sym!r}")
-        transitions.add((src, sym, dst))
-    doc.finish()
-    ctor = Dfa if kind == "dfa" else Nfa
-    return ctor(states, alphabet, transitions, initial, accepting)
+        transitions.append(doc.item((toks[0], _sym(toks[1]), toks[2]), no))
+    return doc.build(Dfa if kind == "dfa" else Nfa, states, alphabet, transitions,
+                     initial, accepting)
 
 
 def dump_automaton(a: Nfa) -> str:
@@ -195,20 +179,14 @@ def load_fst(text: str) -> Fst:
     doc = _Doc(text, "fst")
     alphabet = _alphabet(doc.one("alphabet"))
     out_alpha = _alphabet(doc.one("outalphabet"))
-    states = set(doc.one("states")[1])
-    initial = _initial(doc, states, "initial state not declared")
-    accepting = _accepting(doc, states, "accepting states must be declared")
-    transitions = set()
+    states = doc.one("states")[1]
+    initial = doc.one("initial")[1][0]
+    accepting = doc.maybe("accept")[1] or ()
+    transitions = []
     for no, toks in doc.many("trans"):
         _need(len(toks) == 4, no, "trans needs <src> <tok|eps> <out|-> <dst>")
-        src, sym, out, dst = toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]
-        _need(src in states and dst in states, no, "transition references undeclared state")
-        _need(sym is None or sym in alphabet, no, f"input symbol {sym!r} not declared")
-        for c in out:
-            _need(c in out_alpha, no, f"output symbol {c!r} not declared")
-        transitions.add((src, sym, out, dst))
-    doc.finish()
-    return Fst(states, alphabet, out_alpha, transitions, initial, accepting)
+        transitions.append(doc.item((toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]), no))
+    return doc.build(Fst, states, alphabet, out_alpha, transitions, initial, accepting)
 
 
 def dump_fst(t: Fst) -> str:
@@ -246,21 +224,17 @@ def load_ads(text: str, protocol: ProtocolAlphabet) -> AdsAutomaton:
         _need(kind in ("wr", "query"), no, f"unknown partition kind {kind!r}")
         (write_states if kind == "wr" else query_states).update(ids)
     initial = doc.one("initial")[1][0]
-    accept_row = doc.maybe("accept")[1] or []
-    write_moves = set()
-    query_moves = set()
-    last_no = 1
+    accepting = doc.maybe("accept")[1] or ()
+    write_moves = []
     for no, toks in doc.many("wmove"):
         _need(len(toks) == 4, no, "wmove needs <src> <tok|eps|lm|rm> <word|-> <dst>")
-        write_moves.add((toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]))
-        last_no = no
+        write_moves.append(doc.item((toks[0], _sym(toks[1]), _word(toks[2], no), toks[3]), no))
+    query_moves = []
     for no, toks in doc.many("qmove"):
         _need(len(toks) == 4, no, "qmove needs <src> <query> <resp> <dst>")
-        query_moves.add((toks[0], toks[1], toks[2], toks[3]))
-        last_no = no
-    doc.finish()
-    return _build(AdsAutomaton, last_no, write_states, query_states, alphabet,
-                  protocol, write_moves, query_moves, initial, set(accept_row))
+        query_moves.append(doc.item(tuple(toks), no))
+    return doc.build(AdsAutomaton, write_states, query_states, alphabet, protocol,
+                     write_moves, query_moves, initial, accepting)
 
 
 def dump_ads(m: AdsAutomaton) -> str:
@@ -287,10 +261,8 @@ _FLAGS = ("initial", "accepting", "rejecting")
 
 def load_tm(text: str) -> LogTm:
     doc = _Doc(text, "tm")
-    states: set = set()
+    states, accepting, rejecting = set(), set(), set()
     initial = None
-    accepting: set = set()
-    rejecting: set = set()
     for no, toks in doc.many("tmstate"):
         _need(len(toks) >= 1, no, "tmstate needs a state id")
         name, flags = toks[0], toks[1:]
@@ -311,11 +283,9 @@ def load_tm(text: str) -> LogTm:
     _need(size_row[0].removeprefix("-").isdecimal(), size_no,
           f"worksize must be an integer, got {size_row[0]!r}")
     work_size = int(size_row[0])
-    _need(work_size >= 1, size_no, "work tape needs at least one cell")
     advice_row = doc.maybe("advicealphabet")
     advice = _alphabet(advice_row) if advice_row[1] is not None else None
     rules = []
-    last_no = 1
     for no, toks in doc.many("rule"):
         _need(len(toks) == 10 and toks[4] == "->", no,
               "rule needs <q> <in> <work> <advice|-> -> "
@@ -334,24 +304,20 @@ def load_tm(text: str) -> LogTm:
             _need(adv == EMPTY_WORD, no, "qwrite rules take no advice symbol")
         else:
             raise FormatError(f"unknown rule mode {mode!r}", line_no=no)
-        rules.append(TmRule(q, in_sym, work_sym,
-                            None if adv == EMPTY_WORD else adv,
-                            dst, write, im, wm, consume=consume, qwrite=qwrite))
-        last_no = no
-    queries = set()
+        rules.append(doc.item(TmRule(q, in_sym, work_sym,
+                                     None if adv == EMPTY_WORD else adv,
+                                     dst, write, im, wm, consume=consume, qwrite=qwrite), no))
+    queries = []
     for no, toks in doc.many("query"):
         _need(len(toks) == 2, no, "query needs <state> <qsym>")
-        queries.add((toks[0], toks[1]))
-        last_no = no
-    responses = set()
+        queries.append(doc.item(tuple(toks), no))
+    responses = []
     for no, toks in doc.many("onresp"):
         _need(len(toks) == 3, no, "onresp needs <state> <rsym> <state'>")
-        responses.add((toks[0], toks[1], toks[2]))
-        last_no = no
-    doc.finish()
-    return _build(LogTm, last_no, states, alphabet, work, work_size, rules,
-                  initial, accepting, rejecting=rejecting,
-                  advice_alphabet=advice, queries=queries, responses=responses)
+        responses.append(doc.item(tuple(toks), no))
+    return doc.build(LogTm, states, alphabet, work, work_size, rules,
+                     initial, accepting, rejecting=rejecting,
+                     advice_alphabet=advice, queries=queries, responses=responses)
 
 
 def dump_tm(tm: LogTm) -> str:

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .ads import LM, RM
 from .automata import Alphabet, Dfa, Nfa, Word
-from .errors import CapExceeded
+from .errors import CapExceeded, ItemError
 from .protocols import ProtocolOracle, protocol_search
 from .verdict import DEFAULT_BOUNDS, SearchBounds, Verdict, bounded_search, explore
 
@@ -50,14 +50,15 @@ class LogTm:
             work_alphabet = Alphabet([BLANK] + list(work_alphabet))
         self.work_alphabet = work_alphabet
         self.work_size = work_size
-        self.rules = tuple(sorted(rules, key=repr))
         self.initial = initial
         self.accepting = frozenset(accepting)
         self.rejecting = frozenset(rejecting)
         self.advice_alphabet = advice_alphabet
+        rules, queries, responses = tuple(rules), tuple(queries), tuple(responses)
+        self._validate(rules, queries, responses)
+        self.rules = tuple(sorted(rules, key=repr))
         self.queries = frozenset(queries)
         self.responses = frozenset(responses)
-        self._validate()
         self._rules_from = {}
         for rule in self.rules:
             self._rules_from.setdefault(rule.state, []).append(rule)
@@ -68,52 +69,53 @@ class LogTm:
         for s, r, dst in sorted(self.responses):
             self._responses_from.setdefault((s, r), []).append(dst)
 
-    def _validate(self):
+    def _validate(self, rules, queries, responses):
         if self.work_size < 1:
-            raise ValueError("work tape needs at least one cell")
+            raise ItemError("work tape needs at least one cell", "worksize")
         if self.initial not in self.states:
-            raise ValueError("initial state not declared")
+            raise ItemError("initial state not declared", "initial")
         if not self.accepting <= self.states or not self.rejecting <= self.states:
-            raise ValueError("accepting/rejecting states must be declared")
+            raise ItemError("accepting/rejecting states must be declared", "accept")
         if self.accepting & self.rejecting:
-            raise ValueError("a state cannot both accept and reject")
+            raise ItemError("a state cannot both accept and reject", "accept")
         for marker in (LM, RM):
             if marker in self.input_alphabet:
-                raise ValueError(f"{marker!r} is reserved for the input endmarkers")
+                raise ItemError(f"{marker!r} is reserved for the input endmarkers", "alphabet")
         if self.advice_alphabet is not None and LAMBDA in self.advice_alphabet:
-            raise ValueError(f"{LAMBDA!r} is reserved for advice padding")
+            raise ItemError(f"{LAMBDA!r} is reserved for advice padding", "advicealphabet")
         halting = self.accepting | self.rejecting
-        query_states = {s for s, _ in self.queries}
-        for rule in self.rules:
+        query_states = {s for s, _ in queries}
+        for rule in rules:
             if rule.state not in self.states or rule.dst not in self.states:
-                raise ValueError(f"rule {rule} references an undeclared state")
+                raise ItemError(f"rule {rule} references an undeclared state", rule)
             if rule.state in halting:
-                raise ValueError("halting states cannot carry rules")
+                raise ItemError("halting states cannot carry rules", rule)
             if rule.state in query_states:
-                raise ValueError(f"{rule.state!r} is a query state and cannot carry rules")
+                raise ItemError(f"{rule.state!r} is a query state and cannot carry rules", rule)
             if rule.in_sym not in self.input_alphabet and rule.in_sym not in (LM, RM):
-                raise ValueError(f"input symbol {rule.in_sym!r} not declared")
+                raise ItemError(f"input symbol {rule.in_sym!r} not declared", rule)
             if rule.work_sym not in self.work_alphabet or rule.work_write not in self.work_alphabet:
-                raise ValueError(f"work symbol in {rule} not declared")
+                raise ItemError(f"work symbol in {rule} not declared", rule)
             if rule.in_move not in MOVES or rule.work_move not in MOVES:
-                raise ValueError("head moves must be L, R or S")
+                raise ItemError("head moves must be L, R or S", rule)
             if rule.consume:
                 if rule.qwrite is not None:
-                    raise ValueError("a rule cannot both consume advice and write a query")
+                    raise ItemError("a rule cannot both consume advice and write a query", rule)
                 if self.advice_alphabet is None:
-                    raise ValueError("consume rules need an advice alphabet")
+                    raise ItemError("consume rules need an advice alphabet", rule)
                 if rule.advice not in self.advice_alphabet and rule.advice != LAMBDA:
-                    raise ValueError(f"advice symbol {rule.advice!r} not declared")
+                    raise ItemError(f"advice symbol {rule.advice!r} not declared", rule)
             elif rule.advice is not None:
-                raise ValueError("non-consuming rules cannot match advice")
-        for s, _ in self.queries:
-            if s not in self.states or s in halting:
-                raise ValueError("query states must be declared, non-halting states")
-        for s, _, dst in self.responses:
+                raise ItemError("non-consuming rules cannot match advice", rule)
+        for query in queries:
+            if query[0] not in self.states or query[0] in halting:
+                raise ItemError("query states must be declared, non-halting states", query)
+        for response in responses:
+            s, _, dst = response
             if s not in query_states:
-                raise ValueError(f"response rule for non-query state {s!r}")
+                raise ItemError(f"response rule for non-query state {s!r}", response)
             if dst not in self.states:
-                raise ValueError("response target not declared")
+                raise ItemError("response target not declared", response)
 
     def uses_advice(self) -> bool:
         return any(rule.consume for rule in self.rules)

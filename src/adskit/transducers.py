@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .automata import Alphabet, Nfa, Word, pair_product, reading_rows, walk_words
+from .errors import ItemError
 from .verdict import explore
 
 
@@ -21,24 +22,29 @@ class Fst:
         self.states = frozenset(states)
         self.input_alphabet = input_alphabet
         self.output_alphabet = output_alphabet
-        self.transitions = frozenset((s, a, tuple(out), d) for s, a, out, d in transitions)
         self.initial = initial
         self.accepting = frozenset(accepting)
         if self.initial not in self.states:
-            raise ValueError("initial state not declared")
+            raise ItemError("initial state not declared", "initial")
         if not self.accepting <= self.states:
-            raise ValueError("accepting states must be declared")
-        for src, sym, out, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise ValueError("transition references undeclared state")
-            if sym is not None and sym not in input_alphabet:
-                raise ValueError(f"input symbol {sym!r} not declared")
-            for c in out:
-                if c not in output_alphabet:
-                    raise ValueError(f"output symbol {c!r} not declared")
+            raise ItemError("accepting states must be declared", "accept")
+        self.transitions = frozenset(self._checked(transitions))
         self._out = {}
         for src, sym, out, dst in self.transitions:
             self._out.setdefault(src, []).append((sym, out, dst))
+
+    def _checked(self, transitions):
+        """Each transition in the caller's order, output as a tuple, once it passes the rules."""
+        for src, sym, out, dst in transitions:
+            move = (src, sym, tuple(out), dst)
+            if src not in self.states or dst not in self.states:
+                raise ItemError("transition references undeclared state", move)
+            if sym is not None and sym not in self.input_alphabet:
+                raise ItemError(f"input symbol {sym!r} not declared", move)
+            for c in move[2]:
+                if c not in self.output_alphabet:
+                    raise ItemError(f"output symbol {c!r} not declared", move)
+            yield move
 
     @property
     def deterministic(self) -> bool:

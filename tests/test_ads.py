@@ -19,6 +19,7 @@ from adskit.ads import (
     two_letter_recode,
 )
 from adskit.automata import Alphabet, nfa_for_words
+from adskit.errors import ItemError
 from adskit.protocols import (
     DyckOracle,
     ProtocolAlphabet,
@@ -122,6 +123,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="reserved"):
             AdsAutomaton({"w"}, set(), Alphabet(["a", "lm"]), SET_PA, set(),
                          set(), "w", set())
+
+    def test_first_bad_move_is_named_in_the_given_order(self):
+        bad_input = ("w", "c", (), "w")
+        bad_write = ("w", "a", ("z",), "w")
+        for moves in ([bad_input, bad_write], [bad_write, bad_input]):
+            with pytest.raises(ItemError) as err:
+                AdsAutomaton({"w"}, {"q"}, AB, SET_PA, iter(moves), set(), "w", set())
+            assert isinstance(err.value, ValueError)
+            assert err.value.item == moves[0]
+        bad_pair = ("q", "#ins", "+#", "w")
+        bad_land = ("q", "#ins", "#", "q")
+        for moves in ([bad_pair, bad_land], [bad_land, bad_pair]):
+            with pytest.raises(ItemError) as err:
+                AdsAutomaton({"w"}, {"q"}, AB, SET_PA, set(), moves, "w", set())
+            assert err.value.item == moves[0]
+
+    def test_fields_then_write_moves_then_query_moves(self):
+        bad_write = [("w", "c", (), "w")]
+        bad_query = [("q", "#ins", "+#", "w")]
+        with pytest.raises(ItemError) as err:
+            AdsAutomaton({"w"}, {"q"}, AB, SET_PA, bad_write, bad_query, "zz", set())
+        assert err.value.item == "initial"
+        with pytest.raises(ItemError) as err:
+            AdsAutomaton({"w"}, {"q"}, AB, SET_PA, bad_write, bad_query, "w", set())
+        assert err.value.item == bad_write[0]
 
     def test_initial_may_be_query_state(self):
         m = AdsAutomaton({"w"}, {"q"}, AB, SET_PA, set(),

@@ -14,7 +14,7 @@ from adskit.automata import (
     universal_nfa,
     walk_words,
 )
-from adskit.errors import CapExceeded
+from adskit.errors import CapExceeded, ItemError
 
 from genrand import AB, random_nfa
 from oracles import brute_words, path_accepts
@@ -404,6 +404,57 @@ class TestDfa:
         t = d.trim()
         assert type(t) is Nfa
         assert t == Nfa(d.states, AB, d.transitions, "q", {"p"})
+
+
+class TestItemOrder:
+    """A constructor checks its fields, then each move in the given order,
+    and names the first bad one."""
+
+    BAD_SYMBOL = ("q", "b", "q")
+    BAD_STATE = ("q", "a", "zz")
+
+    @pytest.mark.parametrize("ctor", [Nfa, Dfa])
+    def test_first_bad_move_is_named(self, ctor):
+        for moves in ([self.BAD_SYMBOL, self.BAD_STATE], [self.BAD_STATE, self.BAD_SYMBOL]):
+            with pytest.raises(ItemError) as err:
+                ctor({"q"}, A, moves, "q", set())
+            assert isinstance(err.value, ValueError)
+            assert err.value.item == moves[0]
+
+    @pytest.mark.parametrize("ctor", [Nfa, Dfa])
+    def test_fields_come_before_moves(self, ctor):
+        with pytest.raises(ItemError, match="initial state 'p' not declared") as err:
+            ctor({"q"}, A, [self.BAD_SYMBOL], "p", set())
+        assert err.value.item == "initial"
+        with pytest.raises(ItemError, match="accepting states") as err:
+            ctor({"q"}, A, [self.BAD_SYMBOL], "q", {"p"})
+        assert err.value.item == "accept"
+
+    def test_dfa_epsilon_before_bad_symbol_names_epsilon(self):
+        eps = ("q", None, "q")
+        with pytest.raises(ItemError, match="epsilon") as err:
+            Dfa({"q"}, A, [eps, self.BAD_SYMBOL], "q", set())
+        assert err.value.item == eps
+
+    def test_dfa_fanout_names_the_second_move(self):
+        second = ("q", "a", "p")
+        with pytest.raises(ItemError, match="two transitions from 'q' on 'a'") as err:
+            Dfa({"q", "p"}, A, [("q", "a", "q"), ("p", "a", "p"), second], "q", set())
+        assert err.value.item == second
+
+    def test_dfa_identical_duplicates_are_legal(self):
+        d = Dfa({"q"}, A, [("q", "a", "q"), ("q", "a", "q")], "q", {"q"})
+        assert d.transitions == frozenset({("q", "a", "q")})
+        assert d.delta("q", "a") == "q"
+
+    @pytest.mark.parametrize("ctor", [Nfa, Dfa])
+    def test_one_shot_iterables_are_checked(self, ctor):
+        good = [("q", "a", "q"), ("q", "a", "q")]
+        assert ctor({"q"}, A, iter(good), "q", set()).transitions == frozenset(good)
+        moves = (m for m in [("q", "a", "q"), ("q", "a", "p")])
+        with pytest.raises(ItemError) as err:
+            ctor({"q"}, A, moves, "q", set())
+        assert err.value.item == ("q", "a", "p")
 
 
 def test_dot_export_mentions_all_states():

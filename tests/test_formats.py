@@ -394,3 +394,96 @@ class TestMoveLines:
         with pytest.raises(FormatError) as err:
             load(text)
         assert str(err.value) == message
+
+
+# qmove first, so a move error is never on the last line of the file
+ADS_LINES = """\
+type ads
+alphabet a b
+partition wr w0 w1 acc
+partition query q0
+initial w0
+accept acc
+qmove q0 #ins # acc
+wmove w0 lm - w1
+wmove w1 a a w1
+wmove w1 rm - q0
+"""
+
+
+def _replace_line(text, no, line):
+    lines = text.splitlines()
+    lines[no - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+class TestStorageAndTmLines:
+    """Storage and log-space machines name the line of the item their
+    constructor rejects, checking fields first, then items in file order."""
+
+    FOUND_ADS = ("type ads\nalphabet a\npartition wr w\ninitial w\naccept w\n"
+                 "# two bad moves, then a good one\n"
+                 "wmove w b - w\nwmove w c - w\nwmove w a - w\n")
+
+    def test_first_bad_move_is_named_whatever_the_hash_seed(self, tmp_path):
+        path = tmp_path / "two_bad.ads"
+        path.write_text(self.FOUND_ADS)
+        src = str(Path(adskit.__file__).resolve().parent.parent)
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-m", "adskit.cli", "ads", "simulate",
+                                   str(path), "a", "--oracle", "set"],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 65, seed
+            assert "line 7: write move reads undeclared symbol 'b'" in done.stderr, seed
+
+    @pytest.mark.parametrize("no, line, message", [
+        (5, "initial zz", "initial state 'zz' not a state"),
+        (6, "accept acc zz", "accepting states must be states"),
+        (2, "alphabet a lm", "'lm' and 'rm' are reserved for the endmarkers"),
+        (9, "wmove q0 a a w1", "write move from non-write state 'q0'"),
+        (9, "wmove w1 a a zz", "write move into unknown state 'zz'"),
+        (9, "wmove w1 c a w1", "write move reads undeclared symbol 'c'"),
+        (9, "wmove w1 a z w1", "write move emits tokens outside the write alphabet: ('z',)"),
+        (7, "qmove w0 #ins # acc", "query move from non-query state 'w0'"),
+        (7, "qmove q0 #ins # q0", "query move must land in a write state, got 'q0'"),
+        (7, "qmove q0 #ins +# acc", "query move uses invalid pair ('#ins','+#')"),
+    ], ids=["initial", "accept", "alphabet", "wmove-src", "wmove-dst", "wmove-input",
+            "wmove-write", "qmove-src", "qmove-dst", "qmove-pair"])
+    def test_ads_error_names_its_own_line(self, no, line, message):
+        with pytest.raises(FormatError) as err:
+            _load_set_ads(_replace_line(ADS_LINES, no, line))
+        assert str(err.value) == f"line {no}: {message}"
+
+    def test_first_of_two_bad_rules_is_named(self):
+        # the second rule sorts first by repr, which is the order the
+        # machine keeps its rules in
+        text = ("type tm\ntmstate p initial\ntmstate t accepting\nalphabet a\n"
+                "workalphabet x\nworksize 1\nrule p lm _ - -> t _ S S hold\n"
+                "rule p a _ - -> t _ S S hold\nrule p rm _ - -> t _ X S hold\n"
+                "rule p b _ - -> t _ S S hold\n")
+        with pytest.raises(FormatError) as err:
+            load_tm(text)
+        assert str(err.value) == "line 9: head moves must be L, R or S"
+
+    @pytest.mark.parametrize("no, line, message", [
+        (15, "query acc ask", "query states must be declared, non-halting states"),
+        (16, "onresp qs + zz", "response target not declared"),
+        (9, "worksize 0", "work tape needs at least one cell"),
+        (7, "alphabet a b rm", "'rm' is reserved for the input endmarkers"),
+        (10, "advicealphabet 0 Λ", "'Λ' is reserved for advice padding"),
+    ], ids=["query", "onresp", "worksize", "alphabet", "advicealphabet"])
+    def test_tm_error_names_its_own_line(self, no, line, message):
+        with pytest.raises(FormatError) as err:
+            load_tm(_replace_line(TM_TEXT, no, line))
+        assert str(err.value) == f"line {no}: {message}"
+
+    def test_a_line_that_does_not_parse_comes_before_a_bad_field(self):
+        text = _replace_line(_replace_line(TM_TEXT, 9, "worksize 0"), 14,
+                             "rule loop rm _ - -> acc _ S S")
+        with pytest.raises(FormatError, match="^line 14: rule needs"):
+            load_tm(text)
+
+    def test_a_bad_field_comes_before_an_unknown_directive(self):
+        with pytest.raises(FormatError, match="^line 5: initial state 'zz'"):
+            _load_set_ads(_replace_line(ADS_LINES, 5, "initial zz") + "frobnicate\n")

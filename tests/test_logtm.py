@@ -3,7 +3,7 @@ import random
 import pytest
 
 from adskit.automata import Alphabet, Dfa, Nfa
-from adskit.errors import CapExceeded
+from adskit.errors import CapExceeded, ItemError
 from adskit.logtm import (
     BLANK,
     LAMBDA,
@@ -113,6 +113,35 @@ class TestValidation:
     def test_response_needs_query_state(self):
         with pytest.raises(ValueError, match="non-query"):
             simple_tm(responses={("s", "#", "t")})
+
+    def test_first_bad_rule_is_named_in_the_given_order(self):
+        bad_move = TmRule("s", RM, BLANK, None, "t", BLANK, "X", "S")
+        bad_input = TmRule("s", "c", BLANK, None, "t", BLANK, "S", "S")
+        # the machine keeps its rules sorted by repr, bad_input first
+        for rules in ([bad_move, bad_input], [bad_input, bad_move]):
+            with pytest.raises(ItemError) as err:
+                simple_tm(rules=iter(rules))
+            assert isinstance(err.value, ValueError)
+            assert err.value.item == rules[0]
+
+    def test_first_bad_query_and_response_are_named(self):
+        queries = [("s", "#ins"), ("t", "#ins"), ("zz", "#ins")]
+        with pytest.raises(ItemError, match="non-halting") as err:
+            simple_tm(rules=[], queries=queries)
+        assert err.value.item == ("t", "#ins")
+        responses = [("s", "#", "t"), ("s", "+", "zz"), ("t", "#", "s")]
+        with pytest.raises(ItemError, match="target") as err:
+            simple_tm(rules=[], queries=[("s", "#ins")], responses=iter(responses))
+        assert err.value.item == ("s", "+", "zz")
+
+    def test_fields_then_rules_then_queries(self):
+        bad_rule = [TmRule("s", "c", BLANK, None, "t", BLANK, "S", "S")]
+        with pytest.raises(ItemError) as err:
+            simple_tm(work_size=0, rules=bad_rule)
+        assert err.value.item == "worksize"
+        with pytest.raises(ItemError) as err:
+            simple_tm(rules=bad_rule, queries=[("t", "#ins")])
+        assert err.value.item == bad_rule[0]
 
 
 class TestRunWithAdvice:

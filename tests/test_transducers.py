@@ -3,6 +3,7 @@ import random
 import pytest
 
 from adskit.automata import Alphabet, Nfa, canonical_empty, nfa_for_words, universal_nfa
+from adskit.errors import ItemError
 from adskit.transducers import (
     Fst,
     compose,
@@ -309,3 +310,24 @@ class TestBuilders:
         t = word_fst([(("a",), ("b", "b")), ((), ("b",))], A, B)
         assert t.apply(("a",)).words == {("b", "b")}
         assert t.apply(()).words == {("b",)}
+
+
+class TestItemOrder:
+    def test_first_bad_move_is_named(self):
+        bad_output = ("q", "a", ("c",), "q")
+        bad_input = ("q", "c", ("b",), "q")
+        for moves in ([bad_output, bad_input], [bad_input, bad_output]):
+            with pytest.raises(ItemError) as err:
+                Fst({"q"}, A, B, iter(moves), "q", set())
+            assert isinstance(err.value, ValueError)
+            assert err.value.item == moves[0]
+
+    def test_item_carries_the_output_as_a_tuple(self):
+        with pytest.raises(ItemError, match="undeclared state") as err:
+            Fst({"q"}, A, B, [("q", "a", ["b"], "p")], "q", set())
+        assert err.value.item == ("q", "a", ("b",), "p")
+
+    def test_fields_come_before_moves(self):
+        with pytest.raises(ItemError, match="initial state not declared") as err:
+            Fst({"q"}, A, B, [("q", "c", (), "q")], "p", set())
+        assert err.value.item == "initial"
