@@ -91,8 +91,10 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
     The control of a node is the NFA state set as a step mask;
     `protocol_search` adds the write word of the open block and the
     oracle state.  A write reads its one token, a query answered by r
-    reads q then r.  No is reported only when the whole space was
-    exhausted without touching a bound.
+    reads q then r, and asks gives the query symbols the state set can
+    read, so the oracle is never asked a query no run could follow.  No
+    is reported only when the whole space was exhausted without touching
+    a bound.
     """
     o = inst.filter
     if not isinstance(o, ProtocolOracle):
@@ -114,7 +116,7 @@ def nreg_generic(inst: NrrInstance, bounds: SearchBounds = DEFAULT_BOUNDS) -> Nr
         return moves
 
     def asks(states):
-        return queries
+        return [q for q in queries if step(states, q)]
 
     def answers(states, q, r):
         nxt = step(step(states, q), r)

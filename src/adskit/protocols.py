@@ -164,8 +164,10 @@ def protocol_search(start, oracle: ProtocolOracle, writes, asks, answers, is_fin
     Nodes are (control, tape, oracle state); the client supplies only its
     control moves.  writes(control) lists (tokens, next control) pairs,
     each appending its tokens to the tape; asks(control) lists the query
-    symbols the control may issue; answers(control, q, r) lists the
-    controls that go on once the oracle answered the tape and q with r.
+    symbols the control may issue (only those it can follow: each one
+    listed costs a respond call per node); answers(control, q, r) lists
+    the controls that go on once the oracle answered the tape and q
+    with r.
     A query clears the tape and counts one block.  A node is a goal on an
     empty tape, in a final control and an accepting oracle state.  Runs
     that meet in equal oracle states share a node.  A write past max_tape
@@ -179,7 +181,7 @@ def protocol_search(start, oracle: ProtocolOracle, writes, asks, answers, is_fin
     expansion, and answers once per (control, q, r), when an oracle
     answer first needs it, and reuses the results for the rest of the
     call, so every oracle state that reaches a control shares its moves.
-    respond is still called once per (node, query).
+    respond is still called once per (node, query the client lists).
     """
     respond, accepting = oracle.respond, oracle.accepting
     max_tape, max_blocks = bounds.max_tape, bounds.max_blocks
