@@ -84,44 +84,32 @@ def _advice_word(text: Optional[str]) -> tuple:
     return tuple(t for t in text.split(",") if t)
 
 
-def _protocol_filter(arg: str):
-    if arg == "dyck":
-        return DyckOracle()
-    if arg == "dyck-exact":
-        return DyckOracle(exact_d2=True)
-    if arg == "set":
-        return SetOracle()
-    if arg.startswith("sis:"):
-        return SingleInsertOracle(_k(arg))
-    return None
+# Store names and their constructors: --oracle takes a protocol oracle,
+# --filter also the copy language.  A name:K store takes K in decimal
+# digits; its constructor checks the range.
+_ORACLES = {"dyck": DyckOracle, "dyck-exact": lambda: DyckOracle(exact_d2=True),
+            "set": SetOracle, "sis:K": SingleInsertOracle}
+_FILTERS = {**_ORACLES, "per:K": nrr_mod.PerKFilter}
 
 
-def _k(arg: str) -> int:
-    """K of a filter written name:K, a whole number of at least 1."""
-    k = arg.partition(":")[2]
-    if not k.isdecimal():
-        raise UsageError(f"bad filter {arg!r}")
-    if int(k) < 1:
-        raise UsageError(f"bad filter {arg!r}: K must be at least 1, got {int(k)}")
-    return int(k)
+def _store(noun: str, stores: dict):
+    """argparse type: a store named in stores, refused in terms of noun."""
+    names = list(stores)
+    expected = ", ".join(names[:-1]) + ", or " + names[-1]
+
+    def store(arg: str):
+        name, colon, k = arg.partition(":")
+        make = stores.get(name + ":K" if colon else name)
+        if make is None or colon and not k.isdecimal():
+            raise UsageError(f"unknown {noun} {arg!r} (expected {expected})")
+        try:
+            return make(int(k)) if colon else make()
+        except ValueError as exc:
+            raise UsageError(f"bad {noun} {arg!r}: {exc}") from None
+    return store
 
 
-def _filter(arg: str):
-    oracle = _protocol_filter(arg)
-    if oracle is not None:
-        return oracle
-    if arg.startswith("per:") and arg[len("per:"):].isdecimal():
-        return nrr_mod.PerKFilter(_k(arg))
-    raise UsageError(f"unknown filter {arg!r} "
-                     "(expected dyck, dyck-exact, set, sis:K, or per:K)")
-
-
-def _oracle(arg: str):
-    oracle = _protocol_filter(arg)
-    if oracle is None:
-        raise UsageError(f"unknown oracle {arg!r} "
-                         "(expected dyck, dyck-exact, set, or sis:K)")
-    return oracle
+_oracle = _store("oracle", _ORACLES)
 
 
 def _binary(text: str) -> str:
@@ -497,7 +485,7 @@ def _build_parser() -> _Parser:
         dest="sub", required=True)
     p = nrr.add_parser("decide")
     p.add_argument("file")
-    p.add_argument("--filter", required=True, type=_filter)
+    p.add_argument("--filter", required=True, type=_store("filter", _FILTERS))
     p.add_argument("--bounds", type=_bounds, default=DEFAULT_BOUNDS)
     _add_format(p)
     p.set_defaults(fn=_cmd_nrr_decide)
@@ -508,7 +496,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_nrr_reduce_from_ads)
     p = nrr.add_parser("reduce-to-ads")
     p.add_argument("file")
-    p.add_argument("--filter", required=True, type=_oracle)
+    p.add_argument("--filter", required=True, type=_store("filter", _ORACLES))
     _add_format(p)
     p.set_defaults(fn=_cmd_nrr_reduce_to_ads)
     p = nrr.add_parser("member-to-reg")

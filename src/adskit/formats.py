@@ -74,9 +74,10 @@ def _join_word(word: Word) -> str:
 
 class _Doc:
     """Grouped lines of one description, with single/multi accessors, and
-    the line each item (a header by its keyword, or a move) was first read on."""
+    the line each item (a header by its keyword, or a move) was first read on.
+    `type` is the one type line's value, which must be one of types."""
 
-    def __init__(self, text: str, expected_type: str):
+    def __init__(self, text: str, *types: str):
         self.rows: dict[str, list[tuple[int, list[str]]]] = {}
         self.lines: dict = {}
         for no, toks in _lines(text):
@@ -85,8 +86,9 @@ class _Doc:
         _need(len(type_rows) == 1, type_rows[0][0] if type_rows else 1,
               "exactly one type line required")
         no, val = type_rows[0]
-        _need(val == [expected_type], no,
-              f"expected type {expected_type!r}, found {' '.join(val)!r}")
+        self.type = " ".join(val)
+        _need(self.type in types, no, f"expected type {types[0]!r}, found {self.type!r}"
+              if len(types) == 1 else f"unknown automaton type {self.type!r}")
 
     def one(self, key: str) -> tuple[int, list[str]]:
         """The line number and tokens of the one `key` line."""
@@ -140,14 +142,7 @@ def _alphabet(row: tuple[int, Iterable[str]]) -> Alphabet:
 
 
 def load_automaton(text: str) -> Nfa:
-    kind = ""
-    for _, toks in _lines(text):
-        if toks[0] == "type":
-            kind = toks[1] if len(toks) > 1 else ""
-            break
-    if kind not in ("nfa", "dfa"):
-        raise FormatError(f"unknown automaton type {kind!r}", line_no=1)
-    doc = _Doc(text, kind)
+    doc = _Doc(text, "nfa", "dfa")
     alphabet = _alphabet(doc.one("alphabet"))
     states = doc.one("states")[1]
     initial = doc.one("initial")[1][0]
@@ -156,7 +151,7 @@ def load_automaton(text: str) -> Nfa:
     for no, toks in doc.many("trans"):
         _need(len(toks) == 3, no, "trans needs <src> <tok|eps> <dst>")
         transitions.append(doc.item((toks[0], _sym(toks[1]), toks[2]), no))
-    return doc.build(Dfa if kind == "dfa" else Nfa, states, alphabet, transitions,
+    return doc.build(Dfa if doc.type == "dfa" else Nfa, states, alphabet, transitions,
                      initial, accepting)
 
 

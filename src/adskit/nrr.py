@@ -31,8 +31,6 @@ class PerKFilter:
     """The copy language (v#)^k over the k-letter digit alphabet."""
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("k must be at least 1")
         self.k = k
         self.alphabet = Alphabet(list(sigma_k(k)) + ["#"])
 
@@ -156,9 +154,7 @@ def nreg_dyck(a: Nfa, exact_d2: bool = False) -> NrrAnswer:
     is returned, so the witness is the least word under (len(w), w) and
     the verdict is never Unknown.
     """
-    dyck = DyckOracle(exact_d2)
-    if not a.alphabet.same_symbols(dyck.alphabet.flattened()):
-        raise ValueError("automaton alphabet must match the bracket protocol alphabet")
+    inst = NrrInstance(a, DyckOracle(exact_d2))
 
     blocks = {"(": (("push(", "("), ("pop", ")")), "[": (("push[", "["), ("pop", "]"))}
     opened_into, closed_from, pushes = defaultdict(list), defaultdict(list), defaultdict(list)
@@ -190,7 +186,7 @@ def nreg_dyck(a: Nfa, exact_d2: bool = False) -> NrrAnswer:
         if best[kind, p, q] != (n, w):
             continue
         if kind == goal and p == a.initial and q in a.accepting:
-            return _validated(NrrInstance(a, dyck), w)
+            return _validated(inst, w)
         if kind == "R":
             reached[q] = w
             for s, w1 in starting[q]:
@@ -224,9 +220,7 @@ def nreg_perk(a: Nfa, k: int, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswe
     search space is finite and the answer complete unless the relation
     cap is hit.
     """
-    filt = PerKFilter(k)
-    if not a.alphabet.same_symbols(filt.alphabet):
-        raise ValueError("automaton alphabet must match the copy-filter alphabet")
+    inst = NrrInstance(a, PerKFilter(k))
     digits = tuple(sigma_k(k))
     core = a.core
 
@@ -248,7 +242,7 @@ def nreg_perk(a: Nfa, k: int, bounds: SearchBounds = DEFAULT_BOUNDS) -> NrrAnswe
     # a node is the relation: the step mask each state reaches, in core.states order
     verdict, v = bounded_search(core.closure, successors, accepts_via, bounds.max_configs)
     if verdict is Verdict.ACCEPT:
-        return _validated(NrrInstance(a, filt), (v + ("#",)) * k)
+        return _validated(inst, (v + ("#",)) * k)
     return NrrAnswer(verdict)
 
 
@@ -361,8 +355,6 @@ def filter_transfer(a: Nfa, t: Fst) -> Nfa:
 
 def spk_to_perk_fst(k: int) -> Fst:
     """Map "w ins + w test + ... w test +" (k blocks) to (w#)^k."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
     sp = sigma_k(k)
     inp = Alphabet(list(sp) + ["ins", "test", "+", "-"])
     out = Alphabet(list(sp) + ["#"])
@@ -388,8 +380,6 @@ def perk_to_spk_fst(k: int) -> Fst:
     A kept word may be queried as the one insert; after that insert only
     the kept word tests +, and any further ins answers -.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     sp = sigma_k(k)
     inp = Alphabet(list(sp) + ["#"])
     out = Alphabet(list(sp) + ["ins", "test", "+", "-"])

@@ -291,7 +291,7 @@ class SetOracle(ProtocolOracle):
 
 def sigma_k(k: int) -> Alphabet:
     if k < 1:
-        raise ValueError("alphabet size must be at least 1")
+        raise ValueError(f"k must be at least 1, got {k}")
     return Alphabet([str(i) for i in range(k)])
 
 

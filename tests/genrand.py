@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 from adskit.automata import Alphabet, Dfa, Nfa
+from adskit.logtm import BLANK, LAMBDA, LM, RM, LogTm, TmRule
 from adskit.transducers import Fst
 
 AB = Alphabet(["a", "b"])
@@ -204,3 +205,28 @@ def random_copy_nfa(rng: random.Random, states: int, k: int) -> Nfa:
             transitions.add((src, "#", rng.choice(names)))
     accepting = set(rng.sample(names, rng.randint(1, 2)))
     return Nfa(names, Alphabet(digits + ["#"]), transitions, names[0], accepting)
+
+
+def random_advice_tm(rng: random.Random) -> LogTm:
+    """Advice machine over a, b: 2-4 states, work alphabet {_, 0} on 1-2
+    cells, 2-9 rules, each consuming a, b or the padding symbol with
+    probability one half.  The last state accepts and carries no rules.
+    The first rule reads the start configuration; each later one goes on
+    from a random earlier rule, reading what it left under a head that
+    stayed, so that runs get past their first step."""
+    states = [f"q{i}" for i in range(rng.randint(2, 4))]
+    rules = []
+    for _ in range(rng.randint(2, 9)):
+        state, in_sym, work_sym = states[0], LM, BLANK
+        if rules:
+            prev = rng.choice(rules)
+            state = prev.dst if prev.dst != states[-1] else rng.choice(states[:-1])
+            in_sym = prev.in_sym if prev.in_move == "S" else rng.choice((LM, RM, "a", "b"))
+            work_sym = prev.work_write if prev.work_move == "S" else rng.choice((BLANK, "0"))
+        consume = rng.random() < 0.5
+        rules.append(TmRule(state, in_sym, work_sym,
+                            rng.choice(("a", "b", LAMBDA)) if consume else None,
+                            rng.choice(states), rng.choice((BLANK, "0")),
+                            rng.choice("LRSS"), rng.choice("LRS"), consume=consume))
+    return LogTm(states, AB, Alphabet([BLANK, "0"]), rng.randint(1, 2), rules,
+                 states[0], {states[-1]}, advice_alphabet=AB)

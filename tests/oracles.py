@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 
+from adskit.logtm import BLANK, LAMBDA, LM, RM
+
 
 def path_accepts(a, word):
     """Membership by DFS over (state, position) pairs."""
@@ -149,6 +151,46 @@ def brute_ads_accepts(m, word, oracle, max_tape=24, max_keys=100_000):
             if answer is not None and answer[0] == r:
                 stack.append((dst, pos, (), answer[1]))
     return False, capped
+
+
+def brute_advice_accepts(tm, x, y):
+    """Advice acceptance by DFS over (state, input head, work tape, work
+    head, advice head), scanning the rule table literally.
+
+    The input sits between the endmarkers; a rule fires when its state and
+    both scanned symbols match and neither head leaves its tape.  A
+    consuming rule reads the next symbol of y, or past the end of y the
+    padding symbol, after which the advice head stays put.  Acceptance
+    needs an accepting state with all of y read.  The space is finite, so
+    a miss is exact.
+    """
+    tape = (LM,) + tuple(x) + (RM,)
+    y = tuple(y)
+    step = {"L": -1, "R": 1, "S": 0}
+    seen = set()
+    stack = [(tm.initial, 0, (BLANK,) * tm.work_size, 0, 0)]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        state, i, work, head, j = node
+        if state in tm.accepting and j == len(y):
+            return True
+        for rule in tm.rules:
+            if (rule.state, rule.in_sym, rule.work_sym) != (state, tape[i], work[head]):
+                continue
+            ni, nh = i + step[rule.in_move], head + step[rule.work_move]
+            if not (0 <= ni < len(tape) and 0 <= nh < len(work)):
+                continue
+            nj = j
+            if rule.consume:
+                if rule.advice != (y[j] if j < len(y) else LAMBDA):
+                    continue
+                nj = min(j + 1, len(y))
+            written = work[:head] + (rule.work_write,) + work[head + 1:]
+            stack.append((rule.dst, ni, written, nh, nj))
+    return False
 
 
 def naive_set_replay(blocks):

@@ -464,6 +464,16 @@ class TestExitCodes:
         code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
         assert code == 64 and named in err and out == ""
 
+    @pytest.mark.parametrize("argv, noun, other", [
+        (["protocol", "member", "a", "--oracle", "sis:0"], "bad oracle 'sis:0'", "filter"),
+        (["protocol", "member", "a", "--oracle", "sis:x"], "unknown oracle 'sis:x'", "filter"),
+        (["nrr", "reduce-to-ads", "dyck.nfa", "--filter", "per:2"], "unknown filter 'per:2'",
+         "oracle"),
+    ], ids=["oracle-range", "oracle-digits", "reduce-to-ads-filter"])
+    def test_store_errors_name_their_flag(self, capsys, files, argv, noun, other):
+        code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+        assert code == 64 and noun in err and other not in err and out == ""
+
     @pytest.mark.parametrize("argv, named", [
         (["logtm", "run", "missing.tm", "a", "--oracle", "bogus"], "bogus"),
         (["logtm", "run", "missing.tm", "a", "--oracle", "set",

@@ -88,6 +88,10 @@ class TestAutomata:
         with pytest.raises(FormatError, match="unknown automaton type"):
             load_automaton("type pda\nstates s\nalphabet a\ninitial s\n")
 
+    def test_unknown_type_is_named_on_its_own_line(self):
+        with pytest.raises(FormatError, match="line 3: unknown automaton type 'pda'"):
+            load_automaton("# a comment\nstates s\ntype pda\nalphabet a\ninitial s\n")
+
     def test_missing_states_line(self):
         with pytest.raises(FormatError, match="states"):
             load_automaton("type nfa\nalphabet a\ninitial s\n")

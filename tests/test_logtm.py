@@ -28,7 +28,8 @@ from adskit.nrr import NrrInstance, nreg_generic
 from adskit.protocols import DyckOracle, SetOracle
 from adskit.verdict import SearchBounds, Verdict
 
-from genrand import AB, random_dfa
+from genrand import AB, random_advice_tm, random_dfa
+from oracles import brute_advice_accepts
 
 SET = SetOracle()
 
@@ -190,6 +191,41 @@ class TestRunWithAdvice:
         tm = LogTm({"s", "t"}, AB, work, 6, rules, "s", {"t"}, advice_alphabet=AB)
         assert run_with_advice(tm, (), (), step_cap=10) is Verdict.UNKNOWN
         assert run_with_advice(tm, (), ()) is Verdict.REJECT
+
+    def test_follows_only_the_given_advice(self):
+        # copies its advice onto a 16-cell work tape and may stop at an a:
+        # 3·2^16 - 2 surface configurations, but only 18 along one advice word
+        work, k = Alphabet([BLANK, "a", "b"]), 16
+        rules = [TmRule("s", LM, BLANK, None, "c", BLANK, "S", "S"),
+                 TmRule("c", LM, BLANK, "a", "acc", "a", "S", "S", consume=True),
+                 TmRule("c", LM, BLANK, LAMBDA, "rej", BLANK, "S", "S", consume=True)]
+        rules += [TmRule("c", LM, BLANK, sym, "c", sym, "S", "R", consume=True)
+                  for sym in ("a", "b")]
+        tm = LogTm({"s", "c", "acc", "rej"}, AB, work, k, rules, "s", {"acc"},
+                   rejecting={"rej"}, advice_alphabet=AB)
+        assert run_with_advice(tm, (), ("b",) * 15 + ("a",), step_cap=100) is Verdict.ACCEPT
+        assert run_with_advice(tm, (), ("b",) * 16, step_cap=100) is Verdict.REJECT
+        with pytest.raises(CapExceeded):
+            surface_config_nfa(tm, ())
+
+    def test_runs_and_surface_nfa_match_brute_force(self):
+        # yΛ^k is accepted for some k iff for k = |states|: accepting
+        # configurations loop on Λ, and a shortest path has fewer Λ moves
+        rng = random.Random(423)
+        words = words_over(tuple(AB), 3)
+        verdicts = []
+        for _ in range(100):
+            tm = random_advice_tm(rng)
+            for x in words:
+                nfa = surface_config_nfa(tm, x)
+                pad = (LAMBDA,) * len(nfa.states)
+                for y in words:
+                    want = brute_advice_accepts(tm, x, y)
+                    got = run_with_advice(tm, x, y)
+                    assert got is (Verdict.ACCEPT if want else Verdict.REJECT), (x, y)
+                    assert nfa.accepts(y + pad) == want, (x, y)
+                    verdicts.append(got)
+        assert verdicts.count(Verdict.ACCEPT) > 300 and verdicts.count(Verdict.REJECT) > 20_000
 
 
 class TestSurfaceConfigNfa:

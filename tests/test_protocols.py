@@ -18,6 +18,7 @@ from adskit.protocols import (
     per_k_membership,
     protocol_search,
     random_member,
+    sigma_k,
 )
 from adskit.verdict import SearchBounds, Verdict
 from oracles import naive_set_replay
@@ -189,6 +190,11 @@ class TestSingleInsert:
         assert o.alphabet.gamma_wr.symbols == ("0", "1", "2")
         with pytest.raises(ValueError):
             SingleInsertOracle(0)
+
+    @pytest.mark.parametrize("make", [sigma_k, SingleInsertOracle], ids=["sigma_k", "oracle"])
+    def test_k_below_one_is_named(self, make):
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            make(0)
 
 
 class TestPerK:
