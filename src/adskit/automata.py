@@ -235,8 +235,8 @@ class Nfa:
         """All accepted words of length <= max_len, shortest first, then
         lexicographic in alphabet declaration order.
 
-        Raises CapExceeded once more than `cap` live word prefixes have
-        been examined.
+        Raises CapExceeded once more than `cap` distinct words have been
+        stored.
         """
         return walk_words(self.trim(), {sym: (sym,) for sym in self.alphabet}, max_len, cap)[0]
 
@@ -312,27 +312,55 @@ def walk_words(a: Nfa, labels: dict, max_len: int,
     symbol s spells the non-empty word labels[s], shortest first, and
     whether some run, accepted or not, was cut for spelling a longer word.
 
-    Each word maps to the mask of the states its runs reach.  A move spells
-    at least one letter, so a word's mask is complete before the word is
-    expanded, and the words of length max_len are never expanded.  Symbols
-    are tried in the order of `labels`; with one-letter labels in alphabet
-    order each length comes out in lexicographic order.  Raises CapExceeded
-    once more than `cap` distinct words (the empty word included) are stored.
+    Each length is held as groups of words, one group per mask of the
+    states their runs reach, and a group is extended by each move of its
+    mask at once.  A move spells at least one letter, so a length is
+    complete before it is expanded, and the words of length max_len are
+    never expanded.  When no label is a prefix of another, or none is a
+    suffix of another, the labels are a code (Sardinas and Patterson,
+    1953): each word has one spelling, so it is built once, in one group,
+    and `cap` is charged before a group's extension is built.  Otherwise a
+    word spelled two ways may sit in several groups; each length is then
+    merged by word, its masks united, before it is expanded, and `cap` is
+    charged after that merge.  Either way CapExceeded is raised once more
+    than `cap` distinct words (the empty word included) are stored.  With
+    one-letter labels each length comes out in lexicographic order, a
+    letter ranking by its symbol's place in `labels`.
     """
     core = a.core
+    spellings = list(labels.values())
+    merge = not (_prefix_free(spellings) or _prefix_free([s[::-1] for s in spellings]))
+    rank = None  # letter -> place in `labels`, when every label is one letter
+    if all(len(label) == 1 for label in spellings):
+        rank = {}
+        for label in spellings:
+            rank.setdefault(label[0], len(rank))
     moves_of = {}  # mask -> its non-empty (label, target) moves
     found: list[Word] = []
     cut = False
-    buckets = {0: {(): core.start}} if max_len >= 0 else {}
+    buckets = {0: {core.start: [()]}} if max_len >= 0 else {}
     stored = 1
     while buckets:
         length = min(buckets)
         room = max_len - length
+        groups = buckets.pop(length)
+        if merge and length:
+            masks = {}
+            for mask, words in groups.items():
+                for word in words:
+                    masks[word] = masks.get(word, 0) | mask
+            stored += len(masks)
+            if cap is not None and stored > cap:
+                raise CapExceeded(f"enumeration cap {cap} exceeded")
+            groups = {}
+            for word, mask in masks.items():
+                groups.setdefault(mask, []).append(word)
         union = 0
-        for word, mask in buckets.pop(length).items():
+        accepted = []
+        for mask, words in groups.items():
             union |= mask
             if mask & core.accepting:
-                found.append(word)
+                accepted += words
             if not room:
                 continue
             moves = moves_of.get(mask)
@@ -343,20 +371,32 @@ def walk_words(a: Nfa, labels: dict, max_len: int,
             for label, target in moves:
                 if len(label) > room:
                     continue
-                level = buckets.setdefault(length + len(label), {})
-                nxt = word + label
-                held = level.get(nxt)
-                if held is None:
-                    stored += 1
+                if not merge:
+                    stored += len(words)
                     if cap is not None and stored > cap:
                         raise CapExceeded(f"enumeration cap {cap} exceeded")
-                    level[nxt] = target
+                level = buckets.setdefault(length + len(label), {})
+                grown = [word + label for word in words]
+                held = level.get(target)
+                if held is None:
+                    level[target] = grown
                 else:
-                    level[nxt] = held | target
+                    held += grown
+        if rank is not None:
+            accepted.sort(key=lambda word: [rank[letter] for letter in word])
+        found += accepted
         # step distributes over union, so one step per symbol finds any cut run
         cut = cut or any(a.step(union, sym) for sym, label in labels.items()
                          if len(label) > room)
     return found, cut
+
+
+def _prefix_free(words: list[Word]) -> bool:
+    """True when no word is a prefix of another or equal to it.  If x is a
+    prefix of y, the word after x in sorted order starts with x too, so
+    neighbours suffice."""
+    words = sorted(words)
+    return all(nxt[:len(word)] != word for word, nxt in zip(words, words[1:]))
 
 
 class Dfa(Nfa):

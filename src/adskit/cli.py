@@ -573,6 +573,9 @@ def main(argv=None) -> int:
     except (ValueError, CapExceeded, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EX_DATA
 
 
 if __name__ == "__main__":

@@ -87,7 +87,9 @@ class Fst:
         # A subset construction over the output side: the runs on `word` form
         # an automaton over the (state, position) pairs whose letters are
         # the distinct non-empty emitted words, and a move emitting nothing
-        # is an epsilon move.  walk_words lists the words it spells.
+        # is an epsilon move.  walk_words lists the words it spells; when the
+        # emitted words are prefix-free or suffix-free, each output has one
+        # spelling and is built once, else each length is merged by word.
         letters, moves = {}, []
 
         def successors(pair):

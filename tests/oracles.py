@@ -44,6 +44,39 @@ def brute_words(a, max_len):
     return out
 
 
+def label_walk(a, labels, max_len):
+    """What walk_words should find, by DFS over (state, spelled word) pairs.
+
+    Symbol s spells the word labels[s].  Returns (accepted, cut, stored):
+    the accepted words of length <= max_len, whether some run, accepted or
+    not, has a move whose label takes it past max_len, and how many
+    distinct words of length <= max_len some run spells (the empty word
+    included).
+    """
+    if max_len < 0:
+        return set(), False, 0
+    accepted = set()
+    spelled = set()
+    cut = False
+    seen = {(a.initial, ())}
+    stack = [(a.initial, ())]
+    while stack:
+        state, word = stack.pop()
+        spelled.add(word)
+        if state in a.accepting:
+            accepted.add(word)
+        for src, sym, dst in a.transitions:
+            if src != state:
+                continue
+            nxt = (dst, word if sym is None else word + labels[sym])
+            if len(nxt[1]) > max_len:
+                cut = True
+            elif nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return accepted, cut, len(spelled)
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(alphabet.symbols, repeat=length)

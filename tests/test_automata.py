@@ -17,7 +17,7 @@ from adskit.automata import (
 from adskit.errors import CapExceeded, ItemError
 
 from genrand import AB, random_nfa
-from oracles import brute_words, path_accepts
+from oracles import brute_words, label_walk, path_accepts
 
 A = Alphabet(["a"])
 ABC_XYZ = Alphabet(["x", "y", "z"])
@@ -241,6 +241,43 @@ class TestWalkWords:
 
     def test_negative_length_lists_nothing(self):
         assert walk_words(universal_nfa(AB), one_letter(AB), -1)[0] == []
+
+    def test_order_holds_when_a_length_spans_several_masks(self):
+        # the parity of the a's splits each length into two masks: aa and bb
+        # reach "even", ab and ba reach "odd"
+        moves = {("even", "a", "odd"), ("odd", "a", "even"),
+                 ("even", "b", "even"), ("odd", "b", "odd")}
+        a = Nfa({"even", "odd"}, AB, moves, "even", {"even", "odd"})
+        assert a.enumerate_words(3) == sorted(brute_words(a, 3), key=AB.word_key)
+        rev = Alphabet(["b", "a"])
+        words, _ = walk_words(a, one_letter(rev), 3)
+        assert words == sorted(brute_words(a, 3), key=rev.word_key)
+
+    @pytest.mark.parametrize("kind, labels", [
+        ("one letter", {"x": ("b",), "y": ("a",), "z": ("c",)}),
+        ("prefix code", {"x": ("a",), "y": ("b", "a")}),
+        ("suffix code", {"x": ("a",), "y": ("a", "b")}),
+        ("neither", {"x": ("a",), "y": ("a", "b"), "z": ("b", "a")}),
+    ])
+    def test_matches_label_walk(self, kind, labels):
+        rng = random.Random(f"walk/{kind}")
+        alphabet = Alphabet(labels)
+        rank = {label: i for i, label in enumerate(labels.values())}
+        for _ in range(200):
+            a = random_nfa(rng, alphabet, max_states=6, eps_prob=0.2, density=3.5)
+            max_len = rng.randint(0, 7)
+            accepted, cut, stored = label_walk(a, labels, max_len)
+            words, walked_cut = walk_words(a, labels, max_len, cap=stored)
+            assert len(words) == len(set(words)) and set(words) == accepted
+            if kind == "one letter":
+                assert words == sorted(words, key=lambda word: (
+                    len(word), [rank[(letter,)] for letter in word]))
+            else:
+                assert [len(word) for word in words] == sorted(len(word) for word in words)
+            assert walked_cut == cut
+            if stored > 1:
+                with pytest.raises(CapExceeded):
+                    walk_words(a, labels, max_len, cap=stored - 1)
 
 
 class TestSubAutomaton:

@@ -6,6 +6,7 @@ test.  Fixture files live in tmp_path so every test owns its inputs.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +503,20 @@ class TestExitCodes:
     def test_bad_binary_word_is_usage_error(self, capsys, argv, named):
         code, out, err = run(capsys, *argv)
         assert code == 64 and named in err and out == ""
+
+    def test_out_of_memory_is_a_data_error(self, tmp_path):
+        # a 30-million-symbol store alphabet does not fit in 400 MB of
+        # address space; the limit is set in the child process only
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        src = str(Path(adskit.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "adskit.cli", "protocol", "member", "a",
+             "--oracle", "sis:30000000"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+            capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (65, "", "error: out of memory\n")
 
     def test_bad_bounds_is_usage_error(self, capsys, files):
         assert run(capsys, "ads", "simulate", files["ins.ads"], "a",

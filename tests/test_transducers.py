@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from adskit import transducers
 from adskit.automata import Alphabet, Nfa, canonical_empty, nfa_for_words, universal_nfa
 from adskit.errors import ItemError
 from adskit.transducers import (
@@ -89,6 +90,26 @@ class TestApply:
         r = t.apply((), output_cap=2)
         assert r.words == {()}
         assert r.truncated
+
+    def test_outputs_spelled_two_ways_are_listed_once(self, monkeypatch):
+        # a, ab and ba are neither prefix- nor suffix-free: a.ba = ab.a
+        listed = []
+        walk = transducers.walk_words
+
+        def spy(*args):
+            words, cut = walk(*args)
+            listed.append(words)
+            return words, cut
+
+        monkeypatch.setattr(transducers, "walk_words", spy)
+        t = Fst({"0", "1"}, A, AB,
+                {("0", "a", ("a",), "0"), ("0", "a", ("a", "b"), "0"),
+                 ("0", "a", ("b", "a"), "1"), ("1", None, ("a",), "0")}, "0", {"0", "1"})
+        for u in all_words(A, 3):
+            for cap in range(9):
+                r = t.apply(u, output_cap=cap)
+                assert (r.words, r.truncated) == fst_apply_ref(t, u, cap), (u, cap)
+                assert len(listed[-1]) == len(r.words)
 
     def test_two_letters_from_one_below_the_cap_are_cut(self):
         xy = Alphabet(["x", "y"])
