@@ -84,6 +84,8 @@ class Nfa:
     `core`, the automaton compiled on first use.
     """
 
+    _trim = False  # set on the plain Nfa that trim() returns
+
     def __init__(self, states, alphabet: Alphabet, transitions, initial, accepting):
         self.states = frozenset(states)
         self.alphabet = alphabet
@@ -201,24 +203,31 @@ class Nfa:
 
         If nothing useful survives, the canonical one-state empty
         automaton is returned so all empty results compare equal.  A
-        subclass such as Dfa always gets a fresh plain Nfa back.
+        subclass such as Dfa always gets a fresh plain Nfa back.  The
+        plain Nfa returned is marked trim, so trimming it again returns
+        it at once.
         """
+        if self._trim:
+            return self
         forward = self.reachable(self.initial)
         into = {}
         for src, _, dst in self.transitions:
             into.setdefault(dst, set()).add(src)
         keep = forward.intersection(explore(self.accepting, lambda s: into.get(s, ()))[0])
         if self.initial not in keep:
-            return canonical_empty(self.alphabet)
-        if keep == self.states and type(self) is Nfa:
-            return self
-        return Nfa(
-            keep,
-            self.alphabet,
-            {(s, a, d) for s, a, d in self.transitions if s in keep and d in keep},
-            self.initial,
-            self.accepting & keep,
-        )
+            out = canonical_empty(self.alphabet)
+        elif keep == self.states and type(self) is Nfa:
+            out = self
+        else:
+            out = Nfa(
+                keep,
+                self.alphabet,
+                {(s, a, d) for s, a, d in self.transitions if s in keep and d in keep},
+                self.initial,
+                self.accepting & keep,
+            )
+        out._trim = True
+        return out
 
     def is_empty(self) -> bool:
         return not (self.reachable(self.initial) & self.accepting)

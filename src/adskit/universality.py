@@ -378,21 +378,58 @@ def _rows(a: Nfa) -> tuple[dict, dict]:
     return succ, adj
 
 
-def _length_table(succ: dict, order: list[str]) -> dict:
-    """table[s1][s2]: the lengths of the paths s1 -> s2 within `order`.
+def _length_rows(succ: dict) -> dict:
+    """rows[m][t]: the lengths of the paths m -> t, for each state m on no cycle.
 
-    Backward induction over the topological order: the lengths from s1
-    are one more than the lengths from each one-step successor.
-    Successors outside the order lie behind a cycle and are skipped.
+    Tarjan's search closes the strongly connected components in reverse
+    topological order.  A state on no cycle is a component of its own
+    without a self-loop and closes after all of its successors, so its
+    row is one more than theirs.  Successors on a cycle have no row and
+    are skipped, which leaves row[m][t] exact for every target t that no
+    cycle reachable from m reaches.
     """
-    table: dict[str, dict] = {}
-    for s1 in reversed(order):
-        mine: dict[str, set] = {s1: {0}}
-        for dst in succ[s1]:
-            for s2, lens in table.get(dst, _NO_ROW).items():
-                mine.setdefault(s2, set()).update(n + 1 for n in lens)
-        table[s1] = {s2: frozenset(lens) for s2, lens in mine.items()}
-    return table
+    rows: dict[str, dict] = {}
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set = set()
+    for root in succ:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, todo = work[-1]
+            for d in todo:
+                if d not in index:
+                    index[d] = low[d] = len(index)
+                    stack.append(d)
+                    on_stack.add(d)
+                    work.append((d, iter(succ[d])))
+                    break
+                if d in on_stack:
+                    low[v] = min(low[v], index[d])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] != index[v]:
+                    continue
+                top = stack.pop()
+                on_stack.discard(top)
+                if top == v and v not in succ[v]:
+                    mine: dict[str, set] = {v: {0}}
+                    for d in succ[v]:
+                        for t, lens in rows.get(d, _NO_ROW).items():
+                            mine.setdefault(t, set()).update(n + 1 for n in lens)
+                    rows[v] = {t: frozenset(lens) for t, lens in mine.items()}
+                while top != v:
+                    top = stack.pop()
+                    on_stack.discard(top)
+    return rows
 
 
 def length_sets(a: Nfa) -> LengthSets:
@@ -403,11 +440,10 @@ def length_sets(a: Nfa) -> LengthSets:
     """
     _reject_eps(a)
     core = a.trim()
-    succ, _ = _rows(core)
-    order = _kahn(core.states, succ)
-    if len(order) != len(core.states):
+    rows = _length_rows(_rows(core)[0])
+    if len(rows) != len(core.states):
         raise ValueError("length analysis needs an acyclic trimmed automaton")
-    return LengthSets(core.states, _length_table(succ, order))
+    return LengthSets(core.states, rows)
 
 
 # -- lexicographic extremes of fixed-length path sets --------------------
@@ -417,26 +453,33 @@ _MIN = ("0", "1")
 _MAX = ("1", "0")
 
 
-def _extreme(adj: dict, table: dict, sources, targets, length: int,
+def _lengths_to(rows: dict, targets) -> dict:
+    """col[m]: the lengths of the paths from m to any of the targets."""
+    col = {}
+    for m, row in rows.items():
+        hits = [row[t] for t in targets if t in row]
+        if hits:
+            col[m] = hits[0].union(*hits[1:])
+    return col
+
+
+def _extreme(adj: dict, lengths_to: dict, sources, length: int,
              prefer: tuple[str, str]) -> Optional[str]:
     """Lexicographically first word of the given length, under the letter
     preference, that leads from a source to a target; None if none does.
+    lengths_to[m] holds the lengths of the paths from m to a target.
 
     Extends each prefix by the preferred letter as long as some carrier
     state can still finish with the remaining length budget.
     """
-    def feasible(state: str, remaining: int) -> bool:
-        row = table.get(state, _NO_ROW)
-        return any(remaining in row.get(t, _NO_LENGTHS) for t in targets)
-
-    current = {st for st in sources if feasible(st, length)}
+    current = {st for st in sources if length in lengths_to.get(st, _NO_LENGTHS)}
     if not current:
         return None
     out = []
-    for k in range(length):
-        remaining = length - k - 1
+    for remaining in range(length - 1, -1, -1):
         for sym in prefer:
-            nxt = {d for st in current for d in adj.get((st, sym), ()) if feasible(d, remaining)}
+            nxt = {d for st in current for d in adj.get((st, sym), ())
+                   if remaining in lengths_to.get(d, _NO_LENGTHS)}
             if nxt:
                 out.append(sym)
                 current = nxt
@@ -467,7 +510,7 @@ def lex_extreme(a: Nfa, s: str, length: int, kind: str,
     sources = (core.initial,) if over_left else (s,)
     targets = (s,) if over_left else tuple(core.accepting)
     prefer = _MIN if kind.startswith("min") else _MAX
-    return _extreme(_rows(core)[1], ls._table, sources, targets, length, prefer)
+    return _extreme(_rows(core)[1], _lengths_to(ls._table, targets), sources, length, prefer)
 
 
 # -- transition sets through L and through its complement -----------------
@@ -499,7 +542,39 @@ def _marker_hits(sub: Nfa, word_lengths, w_list) -> tuple[bool, bool]:
     return True in hits, False in hits
 
 
-def _grade(adj: dict, table: dict, start: str, finals, mids,
+class _Tables:
+    """The graph work on one automaton that every source state can share.
+
+    succ and adj come from _rows and rows from _length_rows, each built
+    once; lengths_to() keeps one _lengths_to column per target tuple, and
+    extreme() memoises _extreme.  A graded target lies behind no cycle
+    reachable from its source, so the rows of the states that can still
+    reach it are exact, and a word found for a (sources, targets, length,
+    preference) key is the same whichever source asked.
+    """
+
+    def __init__(self, a: Nfa):
+        self.succ, self.adj = _rows(a)
+        self.rows = _length_rows(self.succ)
+        self._columns: dict = {}
+        self._extremes: dict = {}
+
+    def lengths_to(self, targets) -> dict:
+        col = self._columns.get(targets)
+        if col is None:
+            col = self._columns[targets] = _lengths_to(self.rows, targets)
+        return col
+
+    def extreme(self, sources, targets, length: int,
+                prefer: tuple[str, str]) -> Optional[str]:
+        key = (sources, targets, length, prefer)
+        if key not in self._extremes:
+            self._extremes[key] = _extreme(self.adj, self.lengths_to(targets), sources,
+                                           length, prefer)
+        return self._extremes[key]
+
+
+def _grade(tables: _Tables, start: str, finals, mids,
            want_l: bool, want_lbar: bool, member) -> tuple[bool, bool]:
     """Whether some word start -> finals lies in L, resp. outside L.
 
@@ -509,22 +584,21 @@ def _grade(adj: dict, table: dict, start: str, finals, mids,
     whether u == v is forced, in which case the square shape of u decides
     (the oracle is asked only then).
     """
-    row = table[start]
-    need_l = want_l and not any(n % 2 for f in finals for n in row.get(f, _NO_LENGTHS))
+    row, right, extreme = tables.rows[start], tables.lengths_to(finals), tables.extreme
+    need_l = want_l and not any(n % 2 for n in right.get(start, _NO_LENGTHS))
     need_lbar = want_lbar
     for mid in mids:
         if not (need_l or need_lbar):
             break
-        right_lens = set().union(*(table[mid].get(f, _NO_LENGTHS) for f in finals))
-        for h in sorted(row.get(mid, _NO_LENGTHS) & right_lens):
+        for h in sorted(row.get(mid, _NO_LENGTHS) & right.get(mid, _NO_LENGTHS)):
             if need_l:
-                lo = _extreme(adj, table, (start,), (mid,), h, _MIN)
-                hi = _extreme(adj, table, (mid,), finals, h, _MAX)
+                lo = extreme((start,), (mid,), h, _MIN)
+                hi = extreme((mid,), finals, h, _MAX)
                 x = _beta11_decode(lo) if lo == hi else None
                 need_l = not (lo < hi or lo == hi and (x is None or member(x)))
             if need_lbar:
-                lo = _extreme(adj, table, (mid,), finals, h, _MIN)
-                hi = _extreme(adj, table, (start,), (mid,), h, _MAX)
+                lo = extreme((mid,), finals, h, _MIN)
+                hi = extreme((start,), (mid,), h, _MAX)
                 x = _beta11_decode(lo) if lo == hi else None
                 need_lbar = not (lo < hi or x is not None and not member(x))
             if not (need_l or need_lbar):
@@ -535,7 +609,8 @@ def _grade(adj: dict, table: dict, start: str, finals, mids,
 def _grade_around_markers(a: Nfa, s: str, s2: str, lengths, w_list,
                           member) -> tuple[bool, bool]:
     """_grade for a target that can produce a listed marker word: probe the
-    connecting automaton for the markers, then grade it without them."""
+    connecting automaton for the markers, then grade it without them on
+    tables of its own."""
     sub = a.sub_automaton(s, s2).trim()
     hit_in, hit_out = _marker_hits(sub, lengths, w_list)
     if hit_in and hit_out:
@@ -543,9 +618,7 @@ def _grade_around_markers(a: Nfa, s: str, s2: str, lengths, w_list,
     core = _exclude_words(sub, [w for w, _ in w_list]).trim()
     if core.is_empty():
         return hit_in, hit_out
-    succ, adj = _rows(core)
-    table = _length_table(succ, _kahn(core.states, succ))
-    got_l, got_lbar = _grade(adj, table, core.initial, tuple(core.accepting),
+    got_l, got_lbar = _grade(_Tables(core), core.initial, tuple(core.accepting),
                              sorted(core.states), not hit_in, not hit_out, member)
     return hit_in or got_l, hit_out or got_lbar
 
@@ -554,16 +627,19 @@ WSource = Callable[[int], list[tuple[str, bool]]]
 
 
 def _delta_both(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None,
-                memo: Optional[dict] = None,
-                cache: Optional[WCache] = None) -> tuple[frozenset, frozenset]:
+                memo: Optional[dict] = None, cache: Optional[WCache] = None,
+                tables: Optional[_Tables] = None) -> tuple[frozenset, frozenset]:
     """States reachable from s by a word in L, and by a word outside L.
 
-    One pass over the states reachable from s: a target that some cycle
-    reaches has an infinite connecting language, which lands in both
-    sets outright.  The others share one length table and are graded on
-    it, unless a generated marker word has a length the target can
-    produce; only then is the connecting automaton built, probed for
-    marker words and graded with the markers excluded.
+    `tables` holds the successor rows, path-length rows and memoised
+    extreme words of `a`; a decision builds it once and passes it for
+    every source state, and a call without it builds its own.  Per source
+    there is one reachability walk and one Kahn order: a target that some
+    cycle reaches has an infinite connecting language, which lands in
+    both sets outright.  The others are graded on the shared tables,
+    unless a generated marker word has a length the target can produce;
+    only then is the connecting automaton built, probed for marker words
+    and graded with the markers excluded.
     """
     if s not in a.states:
         raise ValueError(f"state {s!r} not declared")
@@ -574,28 +650,28 @@ def _delta_both(a: Nfa, s: str, x_oracle, w_source: Optional[WSource] = None,
     if w_source is None:
         w_source = lambda n: w_words_up_to(n, cache)
     memo = memo if memo is not None else {}
+    tables = tables if tables is not None else _Tables(a)
 
     def member(x: str) -> bool:
         if x not in memo:
             memo[x] = x_oracle.member(x)
         return memo[x]
 
-    succ, adj = _rows(a)
     reach = a.reachable(s)
-    order = _kahn(reach, succ)
+    order = _kahn(reach, tables.succ)
     # every infinite regular language strays into a marker pair
     in_l = reach - set(order)
     in_lbar = set(in_l)
-    table = _length_table(succ, order)
     ranked = sorted(order)
     for s2 in ranked:
-        lengths = table[s][s2]
-        mids = [m for m in ranked if s2 in table[m]]
+        into = tables.lengths_to((s2,))
+        lengths = into[s]
+        mids = [m for m in ranked if m in into]
         w_list = w_source(len(mids))
         if any(len(w) in lengths for w, _ in w_list):
             got_l, got_lbar = _grade_around_markers(a, s, s2, lengths, w_list, member)
         else:
-            got_l, got_lbar = _grade(adj, table, s, (s2,), mids, True, True, member)
+            got_l, got_lbar = _grade(tables, s, (s2,), mids, True, True, member)
         if got_l:
             in_l.add(s2)
         if got_lbar:
@@ -632,7 +708,9 @@ def universality_decide(a: Nfa, x_oracle) -> UniversalityAnswer:
     exists when some word in L connects them, s -n-> s2 when some word
     outside L does. The summarized automaton intersected with the block
     shape (y#+ | n#- | rr)* is non-empty exactly when the original meets
-    the protocol language. Oracle calls are deduplicated per decision.
+    the protocol language. Oracle calls are deduplicated per decision, and
+    the path tables and extreme words of the binary moves are built once
+    and shared by every source state.
     """
     if not a.alphabet.same_symbols(PROT_X.flattened()):
         raise ValueError("automaton alphabet must match the graded protocol alphabet")
@@ -646,8 +724,9 @@ def universality_decide(a: Nfa, x_oracle) -> UniversalityAnswer:
     memo: dict = {}
     edges = {(p, sym, d) for p, sym, d in flat.transitions
              if sym in ("#", "+", "-", "r")}
+    tables = _Tables(binary)
     for s in sorted(flat.states):
-        dl, dlbar = _delta_both(binary, s, x_oracle, memo=memo, cache=cache)
+        dl, dlbar = _delta_both(binary, s, x_oracle, memo=memo, cache=cache, tables=tables)
         edges.update((s, "y", t) for t in dl)
         edges.update((s, "n", t) for t in dlbar)
     summarized = Nfa(flat.states, DECIDE_ALPHABET, edges, flat.initial, flat.accepting)

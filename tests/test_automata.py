@@ -83,6 +83,20 @@ class TestTrim:
         a = Nfa({"q0", "q1"}, A, {("q0", "a", "q1"), ("q1", None, "q0")}, "q0", {"q1"})
         assert a.trim() is a
 
+    def test_trimmed_result_trims_at_once(self, monkeypatch):
+        dead = Nfa({"q0", "q1", "d"}, A, {("q0", "a", "q1"), ("q0", "a", "d")}, "q0", {"q1"})
+        dfa = Dfa({"q", "p"}, AB, {("q", "a", "p")}, "q", {"p"})
+        trimmed = [dead.trim(), Nfa({"q0"}, A, set(), "q0", set()).trim(), dfa.trim(),
+                   product_intersect(dead, dead).trim()]
+        walks = []
+        real = automata.explore
+        monkeypatch.setattr(automata, "explore", lambda *args: walks.append(args) or real(*args))
+        for t in trimmed:
+            assert t.trim() is t
+        assert not walks
+        assert dfa.trim() is not dfa
+        assert walks
+
     def test_eps_free_input_comes_back_unchanged(self):
         a = Nfa({"q0", "q1"}, A, {("q0", "a", "q1")}, "q0", {"q1"})
         assert a.eliminate_eps() is a

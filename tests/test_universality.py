@@ -25,7 +25,7 @@ from adskit.universality import (
     w_params,
     w_words_up_to,
 )
-from adskit.universality import _delta_both, _exclude_words, _marker_hits
+from adskit.universality import _Tables, _delta_both, _exclude_words, _marker_hits
 from adskit.verdict import Verdict
 
 from genrand import BIN, random_dag_nfa, random_nfa
@@ -459,6 +459,51 @@ class TestDeltas:
         assert leaf_1100 not in got_l
 
 
+class TestSharedTables:
+    """_delta_both on tables shared by every source state of an automaton,
+    as universality_decide runs it, against _delta_both building its own."""
+
+    def assert_same_as_alone(self, a, members, w_source=None):
+        shared = _Tables(a)
+        for s in sorted(a.states):
+            x_shared, x_alone = OracleX(members), OracleX(members)
+            got = _delta_both(a, s, x_shared, w_source=w_source, tables=shared)
+            assert got == _delta_both(a, s, x_alone, w_source=w_source)
+            assert x_shared.calls == x_alone.calls
+
+    def test_random_cyclic_automata(self):
+        rng = random.Random(23)
+        pool = ["0", "1", "00", "01", "10", "11", ""]
+        checked = 0
+        while checked < 600:
+            a = random_nfa(rng, alphabet=BIN, max_states=10, eps_prob=0)
+            if len(a.states) < 4:
+                continue
+            members = set(rng.sample(pool, 3))
+            self.assert_same_as_alone(a, members)
+            checked += 1
+            if checked % 2:
+                continue
+            # a chain g0 -> ... -> t spelling a square, so the oracle is asked
+            word = sq(rng.choice(pool))
+            chain = [f"g{i}" for i in range(len(word))] + [rng.choice(sorted(a.states))]
+            grafted = Nfa(a.states | set(chain), BIN,
+                          a.transitions | {(chain[i], c, chain[i + 1]) for i, c in enumerate(word)},
+                          a.initial, a.accepting)
+            self.assert_same_as_alone(grafted, members)
+
+    def test_through_the_marker_probe(self):
+        # "10" is listed as a marker word, so the target that spells it is
+        # graded by _grade_around_markers on tables of its own
+        trie = nfa_for_words(BINARY, [("1", "0"), ("1", "1", "0", "0"), ("0", "1", "1", "1")])
+        loop = Nfa(trie.states, BINARY, trie.transitions | {(trie.initial, "1", trie.initial)},
+                   trie.initial, trie.accepting)
+        hook = lambda n: [("10", True), ("0111", False)]
+        for a in (trie, loop):
+            self.assert_same_as_alone(a, {"0"}, w_source=hook)
+            self.assert_same_as_alone(a, set(), w_source=hook)
+
+
 def marker_chain():
     """Chain accepting the two size-3 all-zero marker words."""
     n = 4097
@@ -488,6 +533,15 @@ class TestMarkerSteps:
         survived = _exclude_words(other, words).trim()
         assert not survived.is_empty()
         assert survived.accepts(tuple("0" * 4095))
+
+
+def flat_dag(seed, n):
+    """A seeded random_dag_nfa over FLAT with exactly n states, and an oracle."""
+    rng = random.Random(seed)
+    while True:
+        a = random_dag_nfa(rng, alphabet=FLAT, max_states=n, density=16.0)
+        if len(a.states) == n:
+            return a, {w for w in ("", "0", "1", "01", "10") if rng.random() < 0.5}
 
 
 class TestUniversalityDecide:
@@ -555,3 +609,25 @@ class TestUniversalityDecide:
             answer = universality_decide(a, OracleX(members))
             states = len(a.states)
             assert answer.oracle_calls <= 2 * states * states * max(1, states)
+
+    # (states, seed, extra binary moves) -> (nonempty, oracle_calls),
+    # recorded before the decision shared its tables between source states
+    PINNED = [
+        (16, 1, (), (True, 0)),
+        (16, 4, (), (True, 1)),
+        (16, 8, (), (False, 0)),
+        (16, 9, (), (True, 1)),
+        (24, 2, (), (True, 1)),
+        (24, 3, (), (False, 1)),
+        (24, 7, (), (False, 1)),
+        (24, 11, (), (False, 0)),
+        (16, 4, (("s5", "1", "s5"),), (True, 1)),
+        (24, 3, (("s9", "1", "s4"),), (False, 1)),
+    ]
+
+    @pytest.mark.parametrize("n, seed, extra, want", PINNED)
+    def test_pinned_answers(self, n, seed, extra, want):
+        a, members = flat_dag(seed, n)
+        a = Nfa(a.states, FLAT, a.transitions | set(extra), a.initial, a.accepting)
+        answer = universality_decide(a, OracleX(members))
+        assert (answer.nonempty, answer.oracle_calls) == want
